@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt clippy build test doc bench-check bench-smoke bench-json bench-diff bench-layout bench-topology bench-batch perfbench examples miri loom loom-mutant fault fault-storm
+.PHONY: ci fmt clippy build test doc bench-check bench-smoke bench-json bench-diff bench-layout bench-topology bench-batch perfbench perf-ab examples miri loom loom-mutant fault fault-storm
 
 ci: fmt clippy build test doc bench-check
 
@@ -118,6 +118,20 @@ perfbench:
 			echo "perfbench: $$w failed a correctness check"; exit 1; \
 		fi; \
 	done
+
+# A/B of two committed revisions on the repository benchmark; the method is
+# documented in tools/perf_ab.py.  AB_BASE, AB_WORKLOAD, AB_PAIRS and AB_SEED
+# have no default (pick a seed not used during development); AB_CHANGE
+# defaults to HEAD, AB_SECONDS to the declared 36 s and AB_TRACE to 0.
+#   make perf-ab AB_BASE=HEAD~1 AB_WORKLOAD=bursty AB_PAIRS=10 AB_SEED=2101
+AB_CHANGE ?= HEAD
+AB_SECONDS ?= 36
+AB_TRACE ?= 0
+perf-ab:
+	$(if $(and $(AB_BASE),$(AB_WORKLOAD),$(AB_PAIRS),$(AB_SEED)),,$(error perf-ab needs AB_BASE AB_WORKLOAD AB_PAIRS and AB_SEED))
+	python3 tools/perf_ab.py --base $(AB_BASE) --change $(AB_CHANGE) \
+		--workload $(AB_WORKLOAD) --pairs $(AB_PAIRS) --seconds $(AB_SECONDS) \
+		--seed $(AB_SEED) --trace $(AB_TRACE)
 
 # Model-checked interleavings of the innermost slot representations and the
 # layout-conformance seam (the suites shrink their case counts under

@@ -106,6 +106,45 @@ fn for_each_held_slot(slots: &[Slot], range: Range<usize>, mut f: impl FnMut(usi
     PackedSlots::walk_bits(base, tail_mask(chunks.remainder()), &mut f);
 }
 
+/// The word-per-slot multi-claim kernel under [`TasKind::CompareExchange`].
+/// It snapshots the held mask of the window `range` (at most one chunk)
+/// with the scan kernel, then tries only the slots that looked free,
+/// `start..range.end` first and then `range.start..start`, until `k` are
+/// won.  Single-threaded it claims exactly the slots of a per-slot
+/// test-and-set loop in that rotation order; a full window costs one load
+/// per slot and no RMW.
+#[inline]
+fn claim_free_slots(
+    slots: &[Slot],
+    range: Range<usize>,
+    start: usize,
+    k: usize,
+    f: &mut impl FnMut(usize),
+) -> usize {
+    debug_assert!(range.contains(&start), "start {start} outside {range:?}");
+    let window = &slots[range.clone()];
+    let held = match window.try_into() {
+        Ok(chunk) => chunk_mask(chunk),
+        Err(_) => tail_mask(window),
+    };
+    let free = !held & (u64::MAX >> (SCAN_CHUNK - window.len()));
+    let pivot = u64::MAX << (start - range.start);
+    let mut claimed = 0usize;
+    for mut bits in [free & pivot, free & !pivot] {
+        while bits != 0 && claimed < k {
+            let idx = range.start + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            // `try_acquire` reads the slot again, so a slot taken since the
+            // snapshot costs a load, not a failing CAS.
+            if slots[idx].try_acquire(TasKind::CompareExchange) {
+                claimed += 1;
+                f(idx);
+            }
+        }
+    }
+    claimed
+}
+
 /// One slab of test-and-set registers in any of the three representations.
 ///
 /// The variants expose identical semantics (see [`SlotLayout`]); the enum
@@ -226,11 +265,14 @@ impl SlotSlab {
     /// The pure bit-packed slab takes the one-RMW multi-claim kernel
     /// ([`PackedSlots::claim_word_window`]) — slab indices and packed indices
     /// coincide, so the slab window is exactly one word.  The word-per-slot
-    /// and hybrid slabs claim with one test-and-set per slot in the same
-    /// rotation order (under `Hybrid` the packed side's bit alignment is
-    /// shifted by `word.len()`, so a slab-aligned window may straddle two
-    /// packed words — the loop is the layout-agnostic equivalent).  All three
-    /// claim identical slots single-threaded.
+    /// slab under [`TasKind::CompareExchange`] takes [`claim_free_slots`],
+    /// which reads the window's held mask first and tries only the slots
+    /// that looked free.  `Swap` and the hybrid slab claim with one
+    /// test-and-set per slot in the same rotation order (under `Hybrid` the
+    /// packed side's bit alignment is shifted by `word.len()`, so a
+    /// slab-aligned window may straddle two packed words — the loop is the
+    /// layout-agnostic equivalent).  All of them claim identical slots
+    /// single-threaded.
     fn claim_window(
         &self,
         range: Range<usize>,
@@ -239,8 +281,12 @@ impl SlotSlab {
         kind: TasKind,
         f: &mut impl FnMut(usize),
     ) -> usize {
-        if let SlotSlab::Packed(slab) = self {
-            return slab.claim_word_window(range, start, k, kind, f);
+        match self {
+            SlotSlab::Packed(slab) => return slab.claim_word_window(range, start, k, kind, f),
+            SlotSlab::WordPerSlot(slots) if kind == TasKind::CompareExchange => {
+                return claim_free_slots(slots, range, start, k, f)
+            }
+            _ => {}
         }
         let mut claimed = 0usize;
         for idx in (start..range.end).chain(range.start..start) {
@@ -1165,6 +1211,82 @@ mod tests {
                         oracle(range.clone()),
                         "for_each_held({range:?}), len {len}, {layout:?}"
                     );
+                }
+            }
+        }
+    }
+
+    /// The mask-first word-per-slot claim against the per-slot rotation loop
+    /// (the reference).  Twin slabs start with the same occupancy; the kernel
+    /// must claim the slots the loop claims, in the loop's order, and leave
+    /// every other slot as it was.  Windows: a full 64-slot window, windows
+    /// clipped by a batch end and by a batch start, a backup window shorter
+    /// than 64 and a one-slot slab.  Occupancies: all free, all held and two
+    /// random densities.  Every start offset, k in 0..=65 (a sample of both
+    /// under Miri).
+    #[test]
+    fn word_claim_kernel_matches_the_rotation_loop() {
+        let cas = TasKind::CompareExchange;
+        let rotation_loop = |slab: &SlotSlab, range: Range<usize>, start: usize, k: usize| {
+            let mut won = Vec::new();
+            for idx in (start..range.end).chain(range.start..start) {
+                if won.len() == k {
+                    break;
+                }
+                if slab.try_acquire(idx, cas) {
+                    won.push(idx);
+                }
+            }
+            won
+        };
+        let ks: Vec<usize> = if cfg!(miri) {
+            vec![0, 1, 5, 64, 65]
+        } else {
+            (0..=65).collect()
+        };
+        let start_step = if cfg!(miri) { 11 } else { 1 };
+        let mut rng = default_rng(0xC1A1);
+        let shapes = [
+            (192, 64..128),
+            (192, 128..150),
+            (192, 100..128),
+            (40, 0..40),
+            (1, 0..1),
+        ];
+        for (len, range) in shapes {
+            for density in [0.0, 1.0, 0.3, 0.8] {
+                let kernel = SlotSlab::new(len, SlotLayout::WordPerSlot);
+                let oracle = SlotSlab::new(len, SlotLayout::WordPerSlot);
+                for idx in 0..len {
+                    if rng.gen_bool(density) {
+                        assert!(kernel.try_acquire(idx, cas) && oracle.try_acquire(idx, cas));
+                    }
+                }
+                for start in range.clone().step_by(start_step) {
+                    for &k in &ks {
+                        let case = format!("window {range:?}, start {start}, k {k}, p {density}");
+                        let mut won = Vec::new();
+                        let claimed =
+                            kernel.claim_window(range.clone(), start, k, cas, &mut |idx| {
+                                won.push(idx)
+                            });
+                        assert_eq!(claimed, won.len(), "{case}");
+                        assert_eq!(
+                            won,
+                            rotation_loop(&oracle, range.clone(), start, k),
+                            "{case}"
+                        );
+                        for idx in 0..len {
+                            assert_eq!(
+                                kernel.is_held(idx),
+                                oracle.is_held(idx),
+                                "slot {idx}, {case}"
+                            );
+                        }
+                        for &idx in &won {
+                            assert!(kernel.release(idx) && oracle.release(idx));
+                        }
+                    }
                 }
             }
         }

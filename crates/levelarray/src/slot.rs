@@ -4,8 +4,12 @@
 //! and releases it by resetting the location to 0; its implementation section
 //! notes that the authors used compare-and-swap.  [`Slot`] supports both, and
 //! [`TasKind`] selects which primitive a structure uses (an ablation knob for
-//! the benchmark harness — on most hardware `swap` and `compare_exchange`
-//! behave identically for this workload).
+//! the benchmark harness).  [`TasKind::CompareExchange`] is
+//! test-and-test-and-set: it loads the slot and attempts the compare-exchange
+//! only if the slot looked free, so probing a held slot is a read, not a
+//! locked RMW.  That matters once an array holds more names than its bound
+//! (an elastic epoch before it grows), where most probes meet held slots.
+//! [`TasKind::Swap`] still writes unconditionally.
 //!
 //! [`Slot`] is the *word-per-slot* representation: one `AtomicU32` per one-bit
 //! held/free state.  [`SlotLayout`] selects between it and the bit-packed
@@ -74,9 +78,17 @@ impl SlotLayout {
 }
 
 /// Which hardware primitive `Get` uses to win a slot.
+///
+/// Both layouts implement [`TasKind::CompareExchange`] as
+/// test-and-test-and-set: read the slot, and write only if it looked free.
+/// A probe that lands on a held slot therefore reads and never writes, and
+/// does not pull the line into exclusive state away from its holder.
+/// [`TasKind::Swap`] keeps the unconditional write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TasKind {
-    /// `compare_exchange(FREE, HELD)` — the paper's implementation choice.
+    /// Load, then `compare_exchange(FREE, HELD)` only if the load saw the
+    /// slot free — the paper's implementation choice (compare-and-swap),
+    /// guarded by a read.
     #[default]
     CompareExchange,
     /// `swap(HELD)` — a pure test-and-set; never fails spuriously but always
@@ -109,13 +121,18 @@ impl Slot {
 
     /// Attempts to win the slot with the requested primitive.  Returns `true`
     /// if this call transitioned the slot from free to held.
+    /// Under [`TasKind::CompareExchange`] a held slot costs a load and no
+    /// write (see [`TasKind`]).
     #[inline]
     pub fn try_acquire(&self, kind: TasKind) -> bool {
         match kind {
-            TasKind::CompareExchange => self
-                .state
-                .compare_exchange(FREE, HELD, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok(),
+            TasKind::CompareExchange => {
+                self.state.load(Ordering::Acquire) == FREE
+                    && self
+                        .state
+                        .compare_exchange(FREE, HELD, Ordering::AcqRel, Ordering::Acquire)
+                        .is_ok()
+            }
             TasKind::Swap => self.state.swap(HELD, Ordering::AcqRel) == FREE,
         }
     }

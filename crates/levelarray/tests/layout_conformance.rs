@@ -71,23 +71,7 @@ fn assert_lockstep(
             packed.free(victim);
         }
 
-        // Sequential drive, so the censuses are exact — and must be equal.
-        let mut cw = word.collect();
-        let mut cp = packed.collect();
-        cw.sort();
-        cp.sort();
-        assert_eq!(cw, cp, "step {step}: collect sets diverged");
-        let mut expected: Vec<Name> = held.clone();
-        expected.sort();
-        assert_eq!(cw, expected, "step {step}: collect drifted from the model");
-
-        let ow = word.occupancy();
-        let op = packed.occupancy();
-        assert_eq!(
-            ow.regions(),
-            op.regions(),
-            "step {step}: occupancy censuses diverged"
-        );
+        assert_same_state(word, packed, &held, step);
     }
 
     // Drain through both and confirm they empty together.
@@ -103,7 +87,7 @@ fn assert_lockstep(
 /// seeded schedule of `get_many`/`free_many` batches and asserts identical
 /// acquisitions (names, probe counts, batches, backup flags), censuses and
 /// collect sets after every step.  The batch sizes vary per step, so the
-/// word-window multi-claim kernel (packed), the per-index loop equivalent
+/// word-window multi-claim kernel (packed), the mask-first slot kernel
 /// (word-per-slot) and the mixed hybrid path must all select the same slots
 /// — the §5.2 batch-order probing contract the batched kernels preserve.
 fn assert_lockstep_batched(
@@ -156,20 +140,7 @@ fn assert_lockstep_batched(
             packed.free_many(&victims);
         }
 
-        let mut cw = word.collect();
-        let mut cp = packed.collect();
-        cw.sort();
-        cp.sort();
-        assert_eq!(cw, cp, "step {step}: collect sets diverged");
-        let mut expected: Vec<Name> = held.clone();
-        expected.sort();
-        assert_eq!(cw, expected, "step {step}: collect drifted from the model");
-
-        assert_eq!(
-            word.occupancy().regions(),
-            packed.occupancy().regions(),
-            "step {step}: occupancy censuses diverged"
-        );
+        assert_same_state(word, packed, &held, step);
     }
 
     // Drain both sides with ONE bulk release each and confirm they empty.
@@ -177,6 +148,95 @@ fn assert_lockstep_batched(
     packed.free_many(&held);
     assert!(word.collect().is_empty());
     assert!(packed.collect().is_empty());
+}
+
+/// Asserts that both sides hold exactly `held` (as `collect` sets) and
+/// report identical occupancy censuses.  The drives are sequential, so the
+/// censuses are exact.
+fn assert_same_state(
+    word: &dyn ActivityArray,
+    packed: &dyn ActivityArray,
+    held: &[Name],
+    step: usize,
+) {
+    let mut cw = word.collect();
+    let mut cp = packed.collect();
+    cw.sort();
+    cp.sort();
+    assert_eq!(cw, cp, "step {step}: collect sets diverged");
+    let mut expected = held.to_vec();
+    expected.sort();
+    assert_eq!(cw, expected, "step {step}: collect drifted from the model");
+    assert_eq!(
+        word.occupancy().regions(),
+        packed.occupancy().regions(),
+        "step {step}: occupancy censuses diverged"
+    );
+}
+
+/// Fills both sides to `capacity()` with seeded `get_many` batches, then
+/// drains them with `free_many` batches, asserting lockstep after every
+/// step.  [`assert_lockstep_batched`] holds at most the bound, so its claim
+/// windows never fill and its backup windows are never claimed; this drive
+/// makes batches meet full windows, partial windows and the backup, and
+/// ends with a batch that wins nothing on either side.
+fn assert_lockstep_saturated(
+    word: &dyn ActivityArray,
+    packed: &dyn ActivityArray,
+    seed: u64,
+    participants: usize,
+    kmax: usize,
+) {
+    assert_eq!(word.capacity(), packed.capacity());
+    let mut rng_w = default_rng(seed);
+    let mut rng_p = default_rng(seed);
+    let mut script = default_rng(seed ^ 0x5A7D);
+
+    let mut held: Vec<Name> = Vec::new();
+    let mut out_w = Vec::new();
+    let mut out_p = Vec::new();
+    let mut reached_backup = false;
+    let mut step = 0;
+    while held.len() < word.capacity() {
+        assert!(step < 10_000, "the fill stalled at {} names", held.len());
+        let participant = script.gen_index(participants.max(1));
+        word.route_hint(participant);
+        packed.route_hint(participant);
+        let k = 1 + script.gen_index(kmax);
+        out_w.clear();
+        out_p.clear();
+        let won_w = word.get_many(&mut rng_w, k, &mut out_w);
+        let won_p = packed.get_many(&mut rng_p, k, &mut out_p);
+        assert_eq!(won_w, won_p, "step {step}: batch fill counts diverged");
+        assert_eq!(out_w, out_p, "step {step}: batched acquisitions diverged");
+        for got in &out_w {
+            assert!(
+                !held.contains(&got.name()),
+                "step {step}: duplicate live name {}",
+                got.name()
+            );
+            reached_backup |= got.used_backup();
+            held.push(got.name());
+        }
+        assert_same_state(word, packed, &held, step);
+        step += 1;
+    }
+    assert!(reached_backup, "the fill never claimed a backup slot");
+    out_w.clear();
+    out_p.clear();
+    assert_eq!(word.get_many(&mut rng_w, kmax, &mut out_w), 0);
+    assert_eq!(packed.get_many(&mut rng_p, kmax, &mut out_p), 0);
+
+    while !held.is_empty() {
+        let m = 1 + script.gen_index(held.len().min(kmax));
+        let victims: Vec<Name> = (0..m)
+            .map(|_| held.swap_remove(script.gen_index(held.len())))
+            .collect();
+        word.free_many(&victims);
+        packed.free_many(&victims);
+        assert_same_state(word, packed, &held, step);
+        step += 1;
+    }
 }
 
 fn pair(config: &LevelArrayConfig) -> (LevelArrayConfig, LevelArrayConfig) {
@@ -393,6 +453,26 @@ fn sharded_layouts_conform_under_batched_ops() {
         8,
         40,
         8,
+    );
+}
+
+#[test]
+fn flat_layouts_conform_when_batches_saturate_the_array() {
+    // Bound 48: batch 0 spans 72 slots, so the fill meets full 64-slot
+    // windows as well as windows clipped by batch ends and the backup.
+    let (w, p) = pair(&LevelArrayConfig::new(48));
+    assert_lockstep_saturated(&w.build().unwrap(), &p.build().unwrap(), 75, 1, 16);
+}
+
+#[test]
+fn sharded_layouts_conform_when_batches_saturate_the_array() {
+    let (w, p) = pair(&LevelArrayConfig::new(24));
+    assert_lockstep_saturated(
+        &w.build_sharded(2).unwrap(),
+        &p.build_sharded(2).unwrap(),
+        84,
+        4,
+        6,
     );
 }
 

@@ -167,13 +167,17 @@ impl ReclaimDomain {
     pub fn pin_many(&self, rng: &mut dyn RandomSource, k: usize) -> BatchGuard<'_> {
         let mut out = Vec::with_capacity(k);
         let won = self.registry.get_many(rng, k, &mut out);
-        assert_eq!(
-            won, k,
-            "the registry saturated: only {won} of {k} operations could pin"
-        );
+        let names: Vec<Name> = out.into_iter().map(|got| got.name()).collect();
+        if won != k {
+            // The partial wins are registered: release them before the
+            // panic, or they stay held forever and block every later grace
+            // period.
+            self.registry.free_many(&names);
+            panic!("the registry saturated: only {won} of {k} operations could pin");
+        }
         BatchGuard {
             domain: self,
-            names: out.into_iter().map(|got| got.name()).collect(),
+            names,
         }
     }
 
@@ -437,6 +441,23 @@ mod tests {
         assert_eq!(d.stats().pinned_now, 0);
         assert_eq!(d.try_reclaim(), 1);
         assert_eq!(drops.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn saturated_pin_many_panics_without_leaking_its_partial_wins() {
+        // LevelArray::new(2) holds 6 names, so a batch of 10 saturates it.
+        let d = domain(2);
+        let mut rng = default_rng(8);
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.pin_many(&mut rng, 10)))
+                .expect_err("a saturated pin_many must panic");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(message.contains("the registry saturated"), "{message}");
+        assert!(d.registry().collect().is_empty(), "partial wins leaked");
+        drop(d.pin(&mut rng));
+        assert_eq!(d.stats().pinned_now, 0);
     }
 
     #[test]
