@@ -131,6 +131,17 @@ fn thread_token() -> usize {
 /// Low bits of a stripe's `active` word: the number of pins held on it.
 /// Bits above: the stripe's pin sequence.  Four billion concurrent pins on
 /// one stripe would be needed to carry a count into the sequence.
+///
+/// The sequence is the remaining 32 bits, and it wraps.  The wrap is
+/// harmless.  [`EpochChain::oldest_pin_age_ms`] takes a stripe that is busy
+/// with the same sequence at two observations for one pin held since the
+/// first.  If exactly 2³² pins (or a multiple) land on a busy stripe between
+/// two observations, the sequence reads the same and the stripe reads *old*.
+/// No wrap can make a stripe read young.  An old age only makes the
+/// stuck-pin watchdog defer retire and shrink passes under its capped
+/// backoff (≤ ~1 s), and the watchdog never unlinks under a pin: an unlink
+/// still waits for the grace observation.  The misreading ends at the next
+/// pin on the stripe or at the first observation that finds it idle.
 const PIN_COUNT_BITS: u32 = 32;
 const PIN_COUNT_MASK: u64 = (1 << PIN_COUNT_BITS) - 1;
 /// What one pin adds to its stripe's `active` word: one held pin plus one
@@ -344,6 +355,12 @@ impl<T> EpochChain<T> {
     /// short pins keep busy as one old pin.  Advisory: the stuck-pin
     /// watchdog only uses it to decide *when to back off*, never to justify
     /// an unlink — safety always comes from the grace-period observation.
+    ///
+    /// The pin sequence is 32 bits and wraps (see `PIN_COUNT_BITS`).  A
+    /// stripe that takes exactly 2³² pins between two observations and is
+    /// busy at both reads as one pin held since the first, so the wrap can
+    /// only over-report an age.  That defers retire and shrink passes under
+    /// the watchdog's capped backoff (≤ ~1 s) and never unlinks under a pin.
     pub fn oldest_pin_age_ms(&self) -> Option<u64> {
         use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
         let now = now_ms();

@@ -7,27 +7,47 @@
 //!   [`ReclaimDomain::pin`] performs a `Get` on the activity array and returns
 //!   an RAII [`OperationGuard`]; dropping the guard performs the `Free`.
 //! * When a thread unlinks a node it calls [`ReclaimDomain::retire`] — the
-//!   node goes into the *open limbo bag* together with nothing else; it cannot
-//!   be freed yet because other pinned operations may still hold references.
-//! * [`ReclaimDomain::try_reclaim`] closes the open bag by taking a `Collect`
-//!   snapshot of the names registered at that moment; a closed bag may be
-//!   freed once **every name in its snapshot has been observed absent** in
-//!   some later `Collect`.  A name's absence proves the operation that held it
-//!   at close time has completed (it held the name continuously until its
-//!   `Free`), so no operation that could have seen the retired nodes is still
-//!   running.  Re-acquisition of the same name by a *new* operation merely
-//!   delays reclamation; it never makes it unsafe.
+//!   node goes onto the *retire list*, behind a lock of its own; it cannot be
+//!   freed yet because other pinned operations may still hold references.
+//! * [`ReclaimDomain::try_reclaim`] runs pass number `p`.  Under the limbo
+//!   lock it swaps the retire list out and closes it as a bag stamped `p`,
+//!   and only *then* takes a `Collect` snapshot of the names registered at
+//!   that moment, so every node in a bag was retired before the bag's
+//!   snapshot.  A closed bag may be freed once **every name in its snapshot
+//!   has been observed absent** in some later `Collect`.  A name's absence
+//!   proves the operation that held it at close time has completed (it held
+//!   the name continuously until its `Free`), so no operation that could
+//!   have seen the retired nodes is still running.  Re-acquisition of the
+//!   same name by a *new* operation merely delays reclamation; it never
+//!   makes it unsafe.
+//!
+//! The pass does not keep each bag's snapshot.  It keeps the names of the
+//! last `Collect`, sorted, each with the number of the pass since which
+//! every `Collect` has contained it.  A bag closed at pass `p` is ripe
+//! exactly when every name in the current `Collect` has `since > p`: a name
+//! present without a break since `p` or earlier was in the bag's snapshot
+//! and has never been seen absent, and every other name was either missing
+//! from that snapshot or has been seen absent since.  The test only gets
+//! easier for a smaller `p`, so if a bag is ripe, every bag closed before
+//! it is ripe too, and bags ripen in the order they closed.  A pass therefore
+//! costs one `Collect`, one sort of it, one merge against the previous list,
+//! and a pop of the ripe bags off the front of the queue — never a rescan of
+//! the bags still waiting.  It frees the ripe bags after it drops the limbo
+//! lock.  A pass number advances only when its `Collect` completes, so a
+//! pass that unwinds before its `Collect` leaves its bag for the next
+//! pass's snapshot, which is taken later still.
 //!
 //! This is the "dynamic collect" reclamation scheme of the paper's reference
 //! \[17\], expressed over the activity-array API.
 //!
-//! The protocol compares names only for identity (membership in a snapshot),
-//! never as dense indices, so it works unchanged over *elastic* registries:
-//! a name from a grown epoch is simply a different [`Name`] value, and the
-//! absence proof is exactly the quiescence argument
+//! The protocol compares names only for identity (membership in a snapshot)
+//! and sorts them by their encoded value, which orders them epoch-major;
+//! it never reads them as dense indices, so it works unchanged over
+//! *elastic* registries: a name from a grown epoch is simply a different
+//! [`Name`] value, and the absence proof is exactly the quiescence argument
 //! [`levelarray::ElasticLevelArray`] itself uses to retire drained epochs.
 
-use std::collections::HashSet;
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use la_fault::fail_point;
@@ -76,19 +96,49 @@ impl Retired {
 #[derive(Debug)]
 struct ClosedBag {
     nodes: Vec<Retired>,
-    /// Names that were registered when the bag was closed and have not yet
-    /// been observed absent.
-    waiting_on: HashSet<Name>,
+    /// The number of the pass whose `Collect` is this bag's snapshot.
+    closed_at: u64,
 }
 
 #[derive(Debug, Default)]
 struct LimboState {
-    open: Vec<Retired>,
-    closed: Vec<ClosedBag>,
+    /// The number of the last pass whose `Collect` completed (0 before the
+    /// first).
+    pass: u64,
+    /// The names of that `Collect`, sorted, each with the pass since which
+    /// every `Collect` has contained it.
+    present: Vec<(Name, u64)>,
+    /// The merge's output buffer, swapped with `present` after each merge.
+    merged: Vec<(Name, u64)>,
+    /// Closed bags in the order they closed, so `closed_at` never decreases
+    /// from front to back.
+    closed: VecDeque<ClosedBag>,
     /// Reusable `Collect` buffer: the steady-state reclamation pass scans the
     /// registry through [`ActivityArray::collect_into`], so it stops paying a
     /// fresh `Vec` allocation per grace-period scan.
     scan: Vec<Name>,
+}
+
+impl LimboState {
+    /// Folds the fresh `Collect` in `scan` into `present` as pass `pass`,
+    /// and returns the smallest `since` of the names present, or `u64::MAX`
+    /// when none is.  Bags closed before that pass are ripe.
+    fn merge_scan(&mut self, pass: u64) -> u64 {
+        self.scan.sort_unstable();
+        self.merged.clear();
+        let mut oldest = u64::MAX;
+        let mut previous = self.present.iter().peekable();
+        for &name in &self.scan {
+            while previous.next_if(|&&(held, _)| held < name).is_some() {}
+            let since = previous
+                .next_if(|&&(held, _)| held == name)
+                .map_or(pass, |&(_, since)| since);
+            oldest = oldest.min(since);
+            self.merged.push((name, since));
+        }
+        std::mem::swap(&mut self.present, &mut self.merged);
+        oldest
+    }
 }
 
 /// Counters describing the state of a domain (for tests, benchmarks, and
@@ -99,9 +149,10 @@ pub struct DomainStats {
     pub retired: u64,
     /// Nodes actually freed so far.
     pub freed: u64,
-    /// Nodes currently awaiting a grace period (open + closed bags).
+    /// Nodes currently awaiting a grace period: the retire list plus the
+    /// closed bags.  Nodes a pass has detached to free are in neither.
     pub in_limbo: u64,
-    /// Completed reclamation passes.
+    /// Reclamation passes that completed their `Collect`.
     pub reclaim_passes: u64,
     /// Currently pinned operations (an instantaneous census).
     pub pinned_now: usize,
@@ -114,9 +165,12 @@ pub struct DomainStats {
 pub struct ReclaimDomain {
     registry: Arc<dyn ActivityArray>,
     limbo: Mutex<LimboState>,
+    /// Nodes retired since the last pass swapped the list out.  A lock of
+    /// its own, so a `retire` never waits out a pass.  Lock order: `limbo`,
+    /// then `retire_list`.
+    retire_list: Mutex<Vec<Retired>>,
     retired: AtomicU64,
     freed: AtomicU64,
-    passes: AtomicU64,
 }
 
 impl ReclaimDomain {
@@ -125,9 +179,9 @@ impl ReclaimDomain {
         ReclaimDomain {
             registry,
             limbo: Mutex::new(LimboState::default()),
+            retire_list: Mutex::new(Vec::new()),
             retired: AtomicU64::new(0),
             freed: AtomicU64::new(0),
-            passes: AtomicU64::new(0),
         }
     }
 
@@ -195,51 +249,60 @@ impl ReclaimDomain {
         let node = Retired::new(boxed);
         fail_point!("reclaim::retire");
         self.retired.fetch_add(1, Ordering::Relaxed);
-        let mut limbo = self.lock_limbo();
-        limbo.open.push(node);
+        self.lock_retire_list().push(node);
     }
 
     /// Runs one reclamation pass and returns the number of nodes freed.
     ///
-    /// A pass (1) closes the open bag against a fresh `Collect` snapshot,
-    /// (2) prunes every closed bag's waiting set by removing names absent from
-    /// the snapshot, and (3) frees the bags whose waiting sets have emptied.
+    /// Pass `p` (1) swaps the retire list out and, if it holds anything,
+    /// closes it as a bag stamped `p`; (2) takes a fresh `Collect`, sorts
+    /// it, and merges it into the list of names present since some pass,
+    /// where a name new at this pass is present since `p`; (3) detaches the
+    /// bags closed before the oldest `since`, which is all of them when the
+    /// `Collect` is empty; and (4) frees those after it drops the limbo
+    /// lock.  Steps 1–3 run under the limbo lock, and step 1 runs before
+    /// step 2, so a node retired during the pass goes to the next pass's
+    /// bag.  Every call runs a full pass: a concurrent pass is waited out,
+    /// never skipped.
+    ///
+    /// If a node's `Drop` panics, the panic unwinds out of this call.  The
+    /// other nodes of the bags this pass detached then leak, which is safe;
+    /// every bag still waiting stays in limbo.
     pub fn try_reclaim(&self) -> u64 {
         // Early-return variant: a "died before the pass" fault simply skips
         // this pass — reclamation is optional progress, never correctness.
         fail_point!("reclaim::reclaim", 0);
-        let mut limbo = self.lock_limbo();
-        limbo.scan.clear();
-        self.registry.collect_into(&mut limbo.scan);
-        let snapshot: HashSet<Name> = limbo.scan.iter().copied().collect();
-
-        // (1) Close the open bag, if it has anything in it.
-        if !limbo.open.is_empty() {
-            let nodes = std::mem::take(&mut limbo.open);
-            limbo.closed.push(ClosedBag {
-                nodes,
-                waiting_on: snapshot.clone(),
-            });
-        }
-
-        // (2) + (3) Prune waiting sets and free ripe bags.
-        let mut freed = 0u64;
-        let mut still_closed = Vec::with_capacity(limbo.closed.len());
-        for mut bag in limbo.closed.drain(..) {
-            bag.waiting_on.retain(|name| snapshot.contains(name));
-            if bag.waiting_on.is_empty() {
-                freed += bag.nodes.len() as u64;
-                for node in bag.nodes {
-                    node.reclaim();
-                }
-            } else {
-                still_closed.push(bag);
+        let ripe: Vec<ClosedBag> = {
+            let mut limbo = self.lock_limbo();
+            let pass = limbo.pass + 1;
+            let nodes = std::mem::take(&mut *self.lock_retire_list());
+            if !nodes.is_empty() {
+                limbo.closed.push_back(ClosedBag {
+                    nodes,
+                    closed_at: pass,
+                });
             }
-        }
-        limbo.closed = still_closed;
+            // A panic here leaves the bag in `closed` and `pass` unchanged,
+            // so the next pass, numbered `pass` again, takes its snapshot.
+            fail_point!("reclaim::gathered");
+            let limbo = &mut *limbo;
+            limbo.scan.clear();
+            self.registry.collect_into(&mut limbo.scan);
+            let oldest = limbo.merge_scan(pass);
+            limbo.pass = pass;
+            let ripe = limbo
+                .closed
+                .iter()
+                .take_while(|bag| bag.closed_at < oldest)
+                .count();
+            limbo.closed.drain(..ripe).collect()
+        };
 
+        let freed = ripe.iter().map(|bag| bag.nodes.len() as u64).sum();
+        for node in ripe.into_iter().flat_map(|bag| bag.nodes) {
+            node.reclaim();
+        }
         self.freed.fetch_add(freed, Ordering::Relaxed);
-        self.passes.fetch_add(1, Ordering::Relaxed);
         freed
     }
 
@@ -251,10 +314,17 @@ impl ReclaimDomain {
         self.limbo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// The retire-list lock, tolerant of poisoning for the same reason.
+    fn lock_retire_list(&self) -> MutexGuard<'_, Vec<Retired>> {
+        self.retire_list
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Current counters.
     pub fn stats(&self) -> DomainStats {
         let limbo = self.lock_limbo();
-        let in_limbo = limbo.open.len() as u64
+        let in_limbo = self.lock_retire_list().len() as u64
             + limbo
                 .closed
                 .iter()
@@ -264,7 +334,7 @@ impl ReclaimDomain {
             retired: self.retired.load(Ordering::Relaxed),
             freed: self.freed.load(Ordering::Relaxed),
             in_limbo,
-            reclaim_passes: self.passes.load(Ordering::Relaxed),
+            reclaim_passes: limbo.pass,
             pinned_now: self.registry.collect().len(),
         }
     }
@@ -274,10 +344,14 @@ impl Drop for ReclaimDomain {
     fn drop(&mut self) {
         // The domain owns every allocation still in limbo; free them now.
         // (No operation can still be pinned: guards borrow the domain.)
-        let limbo = self.limbo.get_mut().unwrap_or_else(PoisonError::into_inner);
-        for node in limbo.open.drain(..) {
+        let retire_list = self
+            .retire_list
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        for node in retire_list.drain(..) {
             node.reclaim();
         }
+        let limbo = self.limbo.get_mut().unwrap_or_else(PoisonError::into_inner);
         for bag in limbo.closed.drain(..) {
             for node in bag.nodes {
                 node.reclaim();
@@ -350,6 +424,7 @@ mod tests {
     use super::*;
     use larng::default_rng;
     use levelarray::LevelArray;
+    use std::collections::HashSet;
     use std::sync::atomic::AtomicUsize;
 
     fn domain(n: usize) -> ReclaimDomain {
@@ -508,6 +583,44 @@ mod tests {
         drop(second);
         assert_eq!(d.try_reclaim() + freed, 1);
         assert_eq!(drops.load(Ordering::SeqCst), 1);
+    }
+
+    /// A payload whose `Drop` panics.
+    struct PanicOnDrop;
+    impl Drop for PanicOnDrop {
+        fn drop(&mut self) {
+            panic!("payload drop panicked");
+        }
+    }
+
+    #[test]
+    fn a_panicking_payload_loses_no_bag_still_waiting() {
+        let d = domain(4);
+        let mut rng = default_rng(9);
+        let drops = Arc::new(AtomicUsize::new(0));
+
+        // The panicking payload's bag waits on `early`; the counted
+        // payload's bag waits on `late` as well.
+        let early = d.pin(&mut rng);
+        d.retire(Box::new(PanicOnDrop));
+        assert_eq!(d.try_reclaim(), 0);
+        let late = d.pin(&mut rng);
+        d.retire(Box::new(DropCounter(Arc::clone(&drops))));
+        assert_eq!(d.try_reclaim(), 0);
+
+        // The first bag ripens and its payload panics while the second
+        // bag is still waiting on `late`.
+        drop(early);
+        let pass = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.try_reclaim()));
+        assert!(pass.is_err(), "the payload's panic must surface");
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "freed under a live pin");
+        assert_eq!(d.stats().in_limbo, 1, "the waiting bag was lost");
+
+        drop(late);
+        assert_eq!(d.try_reclaim(), 1);
+        assert_eq!(d.try_reclaim(), 0);
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        assert_eq!(d.stats().in_limbo, 0);
     }
 
     #[test]

@@ -6,13 +6,17 @@
 //! within loom's preemption bound; in normal builds the same models run once
 //! as smoke tests, so this file is deliberately *not* `#![cfg(la_loom)]`.
 //!
-//! The limbo bag itself sits behind a plain mutex, so the model keeps all
-//! limbo-lock traffic on a **single** thread (the reclaimer) — loom does not
-//! track `std::sync::Mutex`, and single-threaded lock use keeps that blind
-//! spot inert.  What the model *does* race is the part the paper's argument
-//! rests on: the registry's atomic slots, i.e. whether a `Collect` snapshot
-//! taken by the reclaimer can ever miss a pin that was established before
-//! the bag closed.
+//! The domain's two locks are plain `std::sync::Mutex`es, which loom does
+//! not track: the limbo lock a pass holds, and the retire-list lock that
+//! `retire` takes and a pass takes to swap the list out.  So the models
+//! never run a `retire` or a pass concurrently with another — a retire runs
+//! before the reclaimer thread exists, and the main thread passes only
+//! while no other thread does — and lock use that never contends keeps
+//! that blind spot inert.
+//! What the model *does* race is the part the paper's argument rests on:
+//! the registry's atomic slots, i.e. whether a `Collect` snapshot taken by
+//! the reclaimer can ever miss a pin that was established before the bag
+//! closed.
 //!
 //! Central invariant: **a node retired while an operation is pinned is never
 //! freed before that operation unpins.**  The pinned reader checks the
@@ -51,8 +55,9 @@ fn retired_node_outlives_every_pin_established_before_the_bag_closed() {
             let domain = Arc::clone(&domain);
             move || {
                 // Pass 1 closes the bag against a snapshot that includes the
-                // pin; pass 2 races the unpin below — it may prune, but it
-                // must not free while the name is still present.
+                // pin; pass 2 races the unpin below — it may find the name
+                // gone and free, but it must not free while the name is
+                // still present.
                 let _ = domain.try_reclaim();
                 let _ = domain.try_reclaim();
             }

@@ -191,8 +191,10 @@ fn watchdog_telemetry_stays_quiet_on_healthy_elastic_traffic() {
 mod storm {
     use super::*;
     use la_fault::{FaultAction, FaultPlan};
+    use la_reclaim::ReclaimDomain;
     use levelarray::{LevelArrayConfig, Name};
     use std::collections::HashSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     /// Takes the binary-wide [`super::GATE`] (shared with the always-on
@@ -613,13 +615,7 @@ mod storm {
                 }
             })
         };
-        for _ in 0..2000 {
-            if la_fault::paused_count() == 1 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(la_fault::paused_count(), 1, "the pinner never parked");
+        await_parked("the pinner");
 
         // Hammer retirement under the stuck pin.  Grace can never pass, so
         // nothing may be retired, the epoch count may not drop, and the
@@ -664,6 +660,105 @@ mod storm {
         );
         let report = array.robustness_report();
         assert_eq!(report.oldest_pin_age_ms, None);
+        la_fault::reset();
+    }
+
+    /// A payload that counts how many times the domain frees it.
+    struct DropCounter(Arc<AtomicUsize>);
+
+    impl Drop for DropCounter {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Waits (up to ~2 s) until one thread is parked by a `Pause` trigger.
+    fn await_parked(who: &str) {
+        for _ in 0..2000 {
+            if la_fault::paused_count() == 1 {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(la_fault::paused_count(), 1, "{who} never parked");
+    }
+
+    /// A reclamation pass swaps the retire list out before it takes its
+    /// `Collect`.  Parked between the two, the pass must leave a node
+    /// retired meanwhile for a later pass: that node's reader pinned after
+    /// the swap, but before the `Collect`, and a pass that collected first
+    /// would free the node under it.
+    #[test]
+    fn a_pass_swaps_the_retire_list_out_before_it_collects() {
+        let _gate = armed(FaultPlan::count_only(1));
+        let domain = Arc::new(ReclaimDomain::new(Arc::new(LevelArray::new(4))));
+        let drops = Arc::new(AtomicUsize::new(0));
+
+        la_fault::arm_site("reclaim::gathered", 1, FaultAction::Pause);
+        let pass = {
+            let domain = Arc::clone(&domain);
+            std::thread::spawn(move || domain.try_reclaim())
+        };
+        await_parked("the pass");
+
+        // Neither call takes the limbo lock the parked pass holds.
+        let mut rng = default_rng(21);
+        let guard = domain.pin(&mut rng);
+        domain.retire(Box::new(DropCounter(Arc::clone(&drops))));
+
+        la_fault::release_paused();
+        assert_eq!(
+            pass.join().expect("the parked pass panicked"),
+            0,
+            "the parked pass freed a node retired under a live pin"
+        );
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "freed by the parked pass");
+        assert_eq!(domain.try_reclaim(), 0);
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "freed under a live pin");
+        assert_eq!(domain.stats().in_limbo, 1);
+
+        drop(guard);
+        assert_eq!(domain.try_reclaim(), 1);
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        la_fault::reset();
+    }
+
+    /// A pass that unwinds between the swap and the `Collect` leaves the
+    /// swapped nodes in limbo, and its pass number unspent: the next pass
+    /// reuses it, so a reader first seen by that pass still holds the bag.
+    #[test]
+    fn a_pass_that_unwinds_after_the_swap_keeps_the_swapped_nodes() {
+        let _gate = armed(FaultPlan::count_only(1));
+        let domain = ReclaimDomain::new(Arc::new(LevelArray::new(4)));
+        let drops = Arc::new(AtomicUsize::new(0));
+
+        // One pass completes with nothing pinned; the reader pins after it
+        // and before the node is retired.
+        assert_eq!(domain.try_reclaim(), 0);
+        let mut rng = default_rng(22);
+        let reader = domain.pin(&mut rng);
+        domain.retire(Box::new(DropCounter(Arc::clone(&drops))));
+
+        // Clear the first pass's hit, so the trigger fires on the next one.
+        la_fault::reset();
+        la_fault::arm_site("reclaim::gathered", 1, FaultAction::Panic);
+        let unwound = catch_unwind(AssertUnwindSafe(|| domain.try_reclaim()))
+            .expect_err("the armed pass must unwind");
+        assert_eq!(
+            la_fault::injected_site(unwound.as_ref()),
+            Some("reclaim::gathered")
+        );
+        assert_eq!(domain.stats().in_limbo, 1, "the swapped node was lost");
+
+        assert_eq!(domain.try_reclaim(), 0, "freed under a live pin");
+        assert_eq!(domain.try_reclaim(), 0, "freed under a live pin");
+        assert_eq!(drops.load(Ordering::SeqCst), 0);
+        drop(reader);
+        assert_eq!(domain.try_reclaim(), 1);
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        let stats = domain.stats();
+        assert_eq!(stats.in_limbo, 0);
+        assert_eq!(stats.reclaim_passes, 4, "the unwound pass counted");
         la_fault::reset();
     }
 }
