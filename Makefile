@@ -64,11 +64,10 @@ bench-json:
 		$(CARGO) bench --bench sweeps
 
 # The slot-layout ablation in isolation: the sweeps bench at reference-cell
-# sizes, which prints the Get-side layout table (word-per-slot / packed /
-# hybrid at the sweep thread count and at >=8 threads), the Collect-latency
-# table with the scalar-walk reference row, and the Free->Get hint micro.
-# This is the recipe behind the committed crossover default for
-# `hybrid_layout()`; set BENCH_JSON to capture records.
+# sizes, which prints the Get-side layout table (word-per-slot / packed at
+# the sweep thread count and at >=8 threads), the Collect-latency table with
+# the scalar-walk reference row, and the Free->Get hint micro.  Set
+# BENCH_JSON to capture records.
 bench-layout:
 	BENCH_REPEAT=5 SWEEP_ONLY=core SWEEP_THREADS=2 SWEEP_OPS=50000 SWEEP_EMULATED=8 \
 		$(CARGO) bench --bench sweeps

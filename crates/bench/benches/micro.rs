@@ -73,10 +73,6 @@ fn bench_get_free(c: &mut Criterion) {
             ),
         ),
         (
-            "LevelArray-hybrid",
-            Box::new(LevelArrayConfig::new(n).hybrid_layout().build().unwrap()),
-        ),
-        (
             // Free→Get hint cache on: at 50% occupancy the hinted slot is
             // re-won with one CAS, so this cell shows the fast-path floor.
             "LevelArray-hint",
@@ -138,10 +134,6 @@ fn bench_batched(c: &mut Criterion) {
             ),
         ),
         (
-            "LevelArray-hybrid",
-            Box::new(LevelArrayConfig::new(n).hybrid_layout().build().unwrap()),
-        ),
-        (
             "ShardedLevelArray-s4",
             Box::new(ShardedLevelArray::new(n, 4)),
         ),
@@ -200,20 +192,15 @@ fn bench_collect(c: &mut Criterion) {
     // The slot-layout ablation: the same scan into a reused buffer
     // (collect_into), so the cell isolates the memory actually touched —
     // one word per slot vs one bit per slot.
-    for layout in ["word-per-slot", "packed", "hybrid"] {
-        let label = match layout {
-            "word-per-slot" => "LevelArray-collect_into",
-            "packed" => "LevelArray-packed-collect_into",
-            _ => "LevelArray-hybrid-collect_into",
-        };
+    for (label, layout) in [
+        ("LevelArray-collect_into", SlotLayout::WordPerSlot),
+        ("LevelArray-packed-collect_into", SlotLayout::Packed),
+    ] {
         for n in [256usize, 1024] {
-            let config = match layout {
-                "word-per-slot" => LevelArrayConfig::new(n).slot_layout(SlotLayout::WordPerSlot),
-                "packed" => LevelArrayConfig::new(n).slot_layout(SlotLayout::Packed),
-                // Default crossover: batch 0 word-per-slot, tail packed.
-                _ => LevelArrayConfig::new(n).hybrid_layout(),
-            };
-            let array = config.build().unwrap();
+            let array = LevelArrayConfig::new(n)
+                .slot_layout(layout)
+                .build()
+                .unwrap();
             let _held = prefill(&array, 0.5, 3);
             let mut out = Vec::with_capacity(array.capacity());
             group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {

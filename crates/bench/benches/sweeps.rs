@@ -18,18 +18,17 @@
 //!    under-provisioned elastic array, so the measured `Get`s repeatedly
 //!    cross forced growth *and* retirement on the lock-free epoch chain.
 //! 8. **Slot-layout ablation (Get side)** — the multi-threaded workload over
-//!    the word-per-slot, bit-packed and hybrid slot representations,
-//!    measuring what the packed layout's denser false sharing costs a `Get`
-//!    — at the base thread count and again at ≥8 threads, where the
-//!    contended batch-0 cache lines separate the layouts (the hybrid
-//!    layout's whole argument).
+//!    the word-per-slot and bit-packed slot representations, measuring what
+//!    the packed layout's denser false sharing costs a `Get` — at the base
+//!    thread count and again at ≥8 threads, where the contended batch-0
+//!    cache lines separate the layouts.
 //! 9. **Collect-latency sweep (scan side)** — single-threaded `Collect`
-//!    latency against occupancy for all three layouts: the packed layout
-//!    scans 1/32 of the memory, which is the whole point of the knob; the
-//!    two sections together are the §6-style both-sides measurement of the
+//!    latency against occupancy for both layouts: the packed layout scans
+//!    1/32 of the memory, which is the whole point of the knob; the two
+//!    sections together are the §6-style both-sides measurement of the
 //!    trade.  A `packed-scalar` reference cell walks the same bit pattern
 //!    with the pre-batching word-at-a-time loop, so the committed table
-//!    always carries the batched-vs-scalar ratio the vectorised scans claim.
+//!    always carries the batched-vs-scalar ratio the batched scans claim.
 //! 10. **Free→Get hint micro** — the same-thread free-then-get churn pair on
 //!     a nearly full, tightly sized array, hint cache off vs on: off pays
 //!     the full probe sequence per Get, on retries the just-freed slot with
@@ -357,14 +356,11 @@ fn core_sweeps(base: &WorkloadConfig, repeat: usize, sink: &mut Option<JsonSink>
     );
 
     // 8. Slot-layout ablation, Get side: the full multi-threaded workload
-    // over the three slot representations.  The packed layout packs 512
-    // slots per cache line, so this is where its denser false sharing would
-    // show; the hybrid layout keeps the contended batch-0 head word-per-slot
-    // and packs only the tail and backup.
-    const LAYOUT_ABLATION: [(&str, Algorithm); 3] = [
+    // over both slot representations.  The packed layout packs 512 slots per
+    // cache line, so this is where its denser false sharing would show.
+    const LAYOUT_ABLATION: [(&str, Algorithm); 2] = [
         ("word-per-slot", Algorithm::LevelArray),
         ("packed", Algorithm::LevelArrayPacked),
-        ("hybrid", Algorithm::LevelArrayHybrid),
     ];
     let mut header = vec!["layout", "threads", "algorithm"];
     header.extend(METRIC_COLUMNS);
@@ -386,8 +382,7 @@ fn core_sweeps(base: &WorkloadConfig, repeat: usize, sink: &mut Option<JsonSink>
         ));
     }
     // The contended cell: the same ablation at >= 8 threads, where the
-    // cache-line traffic of concurrent Gets — the trade the hybrid layout is
-    // built around — actually bites.
+    // cache-line traffic of concurrent Gets actually bites.
     let contended_threads = threads.max(8);
     let contended = WorkloadConfig {
         threads: contended_threads,
@@ -493,7 +488,7 @@ fn core_sweeps(base: &WorkloadConfig, repeat: usize, sink: &mut Option<JsonSink>
             (seen as u64 / u64::from(collect_iters)).into(),
         ]);
     };
-    let layout_configs: [(&str, LevelArrayConfig); 3] = [
+    let layout_configs: [(&str, LevelArrayConfig); 2] = [
         (
             "word-per-slot",
             LevelArrayConfig::new(collect_n).slot_layout(SlotLayout::WordPerSlot),
@@ -502,7 +497,6 @@ fn core_sweeps(base: &WorkloadConfig, repeat: usize, sink: &mut Option<JsonSink>
             "packed",
             LevelArrayConfig::new(collect_n).slot_layout(SlotLayout::Packed),
         ),
-        ("hybrid", LevelArrayConfig::new(collect_n).hybrid_layout()),
     ];
     for (label, config) in &layout_configs {
         for occupancy in [0.1, 0.5, 0.9] {
@@ -521,7 +515,7 @@ fn core_sweeps(base: &WorkloadConfig, repeat: usize, sink: &mut Option<JsonSink>
     }
     // The scalar reference: the pre-batching word-at-a-time walk over the
     // exact bit pattern of the packed cell, so the committed table always
-    // carries the batched-vs-scalar ratio the vectorised scans claim.
+    // carries the batched-vs-scalar ratio the batched scans claim.
     for occupancy in [0.1, 0.5, 0.9] {
         let array = LevelArrayConfig::new(collect_n)
             .slot_layout(SlotLayout::Packed)
@@ -754,7 +748,7 @@ fn batch_sweeps(repeat: usize, sink: &mut Option<JsonSink>) {
     let n: usize = env_or("SWEEP_BATCH_N", 256).max(2 * k);
     let rounds: u32 = env_or("SWEEP_BATCH_ROUNDS", if quick { 500 } else { 20_000 });
 
-    let layout_configs: [(&str, LevelArrayConfig); 3] = [
+    let layout_configs: [(&str, LevelArrayConfig); 2] = [
         (
             "word-per-slot",
             LevelArrayConfig::new(n).slot_layout(SlotLayout::WordPerSlot),
@@ -763,7 +757,6 @@ fn batch_sweeps(repeat: usize, sink: &mut Option<JsonSink>) {
             "packed",
             LevelArrayConfig::new(n).slot_layout(SlotLayout::Packed),
         ),
-        ("hybrid", LevelArrayConfig::new(n).hybrid_layout()),
     ];
     let mut batch_table = Table::new(&["layout", "variant", "k", "ops/s", "ns/op"]);
     for (layout, config) in &layout_configs {

@@ -38,11 +38,6 @@ pub enum Algorithm {
     /// (ablation): `Collect` scans 32× less memory, concurrent `Get`s share
     /// denser cache lines — the layout sweep measures both sides.
     LevelArrayPacked,
-    /// LevelArray with the hybrid slot layout (ablation): the contended
-    /// batch-0 head stays word-per-slot, the tail and backup are bit-packed,
-    /// so concurrent `Get`s keep uncrowded cache lines where the traffic is
-    /// while `Collect` still scans most of the array 64 slots per word.
-    LevelArrayHybrid,
     /// LevelArray with the Free→Get hint cache enabled (ablation): `free`
     /// arms a per-thread hint and the next same-thread `Get` retries that
     /// slot with one cache-hot CAS before probing.
@@ -111,7 +106,6 @@ impl Algorithm {
             Algorithm::LevelArrayProbes(c) => format!("LevelArray(c={c})"),
             Algorithm::LevelArraySwapTas => "LevelArray(swap)".to_string(),
             Algorithm::LevelArrayPacked => "LevelArray(packed)".to_string(),
-            Algorithm::LevelArrayHybrid => "LevelArray(hybrid)".to_string(),
             Algorithm::LevelArrayHinted => "LevelArray(hint)".to_string(),
             Algorithm::ShardedLevelArray { shards } => format!("ShardedLevelArray(s={shards})"),
             Algorithm::Elastic { max_epochs } => format!("Elastic(e<={max_epochs})"),
@@ -174,13 +168,6 @@ impl Algorithm {
                 config
                     .clone()
                     .slot_layout(SlotLayout::Packed)
-                    .build()
-                    .expect("valid configuration"),
-            ),
-            Algorithm::LevelArrayHybrid => Arc::new(
-                config
-                    .clone()
-                    .hybrid_layout()
                     .build()
                     .expect("valid configuration"),
             ),
@@ -551,7 +538,6 @@ mod tests {
             Algorithm::LevelArrayProbes(2),
             Algorithm::LevelArraySwapTas,
             Algorithm::LevelArrayPacked,
-            Algorithm::LevelArrayHybrid,
             Algorithm::LevelArrayHinted,
             Algorithm::ShardedLevelArray { shards: 2 },
             Algorithm::ShardedLevelArray { shards: 4 },
@@ -630,7 +616,6 @@ mod tests {
         assert_eq!(Algorithm::LevelArray.label(), "LevelArray");
         assert_eq!(Algorithm::LevelArrayProbes(3).label(), "LevelArray(c=3)");
         assert_eq!(Algorithm::LevelArrayPacked.label(), "LevelArray(packed)");
-        assert_eq!(Algorithm::LevelArrayHybrid.label(), "LevelArray(hybrid)");
         assert_eq!(Algorithm::LevelArrayHinted.label(), "LevelArray(hint)");
         assert_eq!(
             Algorithm::ShardedLevelArray { shards: 4 }.label(),

@@ -1,20 +1,26 @@
-//! The storage backend of one elastic epoch cell: flat or sharded.
+//! Sharded storage: [`ShardGroup`], and the backend of one elastic epoch cell.
+//!
+//! [`ShardGroup`] is the one sharding implementation in the crate: `S`
+//! cache-padded [`ProbeCore`]s over a dense namespace
+//! `shard · shard_capacity + local`, with sticky home routing, the
+//! ring-order steal walk, batch spill and the aggregated census.
+//! [`crate::ShardedLevelArray`] is a `ShardGroup` plus a home-token pool;
+//! the hierarchical epoch cells run on the same type.
 //!
 //! [`crate::ElasticLevelArray`] composes the repo's two scaling mechanisms
 //! one level deep each: the epoch chain grows the *contention bound*, and —
 //! with [`crate::LevelArrayConfig::shard_group`] set — every epoch's storage
-//! is itself split into cache-padded shard cores so the *memory traffic* of
-//! a big epoch stays spread out.  [`CellBackend`] is that seam: the epoch
-//! cell talks to one backend, which is either a single [`ProbeCore`] (flat,
-//! the PR 4 layout) or a [`ShardGroup`] of `⌈C / g⌉` padded cores for group
-//! size `g` and cell contention `C`.  Doubling the chain therefore *adds
-//! shard groups* instead of doubling one contended slab.
+//! is itself split into shard cores so the *memory traffic* of a big epoch
+//! stays spread out.  [`CellBackend`] is that seam: the epoch cell talks to
+//! one backend, which is either a single [`ProbeCore`] (flat) or a
+//! [`ShardGroup`] of `⌈C / g⌉` cores for group size `g` and cell contention
+//! `C`.  Doubling the chain therefore *adds shard groups* instead of
+//! doubling one contended slab.  The flat backend stays a bare core: a
+//! one-shard group would add a division to every `Free` on a flat epoch.
 //!
-//! Within a backend the slot namespace is dense —
-//! `shard · shard_capacity + local` — exactly the mapping
-//! [`crate::ShardedLevelArray`] uses, so the epoch tag plus the dense index
-//! (`Name::with_epoch(epoch, dense)`) routes every `Free`/`is_held`/hint
-//! unambiguously through both levels without a lookup table.
+//! The epoch tag plus the dense index (`Name::with_epoch(epoch, dense)`)
+//! routes every `Free`/`is_held`/hint unambiguously through both levels
+//! without a lookup table.
 
 use crate::array::Acquired;
 use crate::config::{ConfigError, LevelArrayConfig};
@@ -22,24 +28,319 @@ use crate::geometry::BatchGeometry;
 use crate::name::Name;
 use crate::occupancy::{Region, RegionOccupancy};
 use crate::probe_core::ProbeCore;
-use crate::slot::SlotLayout;
 use larng::RandomSource;
 
-/// One shard core, padded to two cache lines (same rationale as the sharded
-/// facade: neighbouring shards' hot atomics must not share a line).
+/// One shard core, padded to two cache lines so that the hot atomic traffic
+/// of neighbouring shards' slots never shares a line with this shard's
+/// metadata.  (The slots *within* a shard are deliberately unpadded, exactly
+/// like the plain LevelArray — see [`crate::slot::Slot`].)
 #[derive(Debug)]
 #[repr(align(128))]
-struct PaddedCore(ProbeCore);
+pub(crate) struct PaddedCore(ProbeCore);
 
-/// A group of cache-padded shard cores backing one epoch cell.
+/// `S` cache-padded probing cores sharing one dense namespace: shard
+/// `s`'s local slot `i` is the dense name `s · shard_capacity + i`.
 #[derive(Debug)]
 pub(crate) struct ShardGroup {
     shards: Box<[PaddedCore]>,
-    /// Capacity of each shard — the stride of the dense in-cell namespace.
+    /// Capacity of each shard — the stride of the dense namespace.
     shard_capacity: usize,
     /// Cached cost of exhausting *every* shard (the steal walk's full
     /// deterministic probe budget).
     exhausted_probes: u32,
+}
+
+impl ShardGroup {
+    /// Splits `config`'s contention bound `n` over `shards` cores of bound
+    /// `⌈n / S⌉` each, every one built with the configuration's space
+    /// factor, probe policy, backup setting, TAS primitive and slot layout.
+    /// The total backup `S · ⌈n / S⌉ ≥ n` keeps the paper's wait-freedom
+    /// argument: the steal walk always reaches a shard whose backup has a
+    /// free slot while at most `n` names are held.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::ZeroShards`] if `shards == 0`; otherwise
+    /// whatever [`LevelArrayConfig::validate`] reports for the per-shard
+    /// configuration.
+    pub(crate) fn build(config: &LevelArrayConfig, shards: usize) -> Result<Self, ConfigError> {
+        if shards == 0 {
+            return Err(ConfigError::ZeroShards);
+        }
+        let shard_contention = config.max_concurrency_value().div_ceil(shards);
+        let per_shard = config
+            .clone()
+            .with_contention(shard_contention)
+            .validate()?;
+        let cores: Box<[PaddedCore]> = (0..shards)
+            .map(|_| PaddedCore(per_shard.clone().into_probe_core()))
+            .collect();
+        Ok(ShardGroup {
+            shard_capacity: cores[0].0.capacity(),
+            exhausted_probes: cores.iter().map(|c| c.0.exhausted_probe_count()).sum(),
+            shards: cores,
+        })
+    }
+
+    /// Number of shard cores.
+    pub(crate) fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Capacity of each shard — the stride of the dense namespace.
+    pub(crate) fn shard_capacity(&self) -> usize {
+        self.shard_capacity
+    }
+
+    /// Total slots across all shards.
+    pub(crate) fn capacity(&self) -> usize {
+        self.shard_capacity * self.shards.len()
+    }
+
+    /// The probing core of shard `shard`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard >= num_shards()`.
+    pub(crate) fn core(&self, shard: usize) -> &ProbeCore {
+        &self.shards[shard].0
+    }
+
+    /// The shard cores in shard order.
+    pub(crate) fn cores(&self) -> impl Iterator<Item = &ProbeCore> {
+        self.shards.iter().map(|padded| &padded.0)
+    }
+
+    /// The batch layout every shard's main array shares.
+    pub(crate) fn geometry(&self) -> &BatchGeometry {
+        self.core(0).geometry()
+    }
+
+    /// The full deterministic probe budget of a failed `Get` (every shard
+    /// exhausted, backups included).
+    pub(crate) fn exhausted_probe_count(&self) -> u32 {
+        self.exhausted_probes
+    }
+
+    /// Maps shard `shard`'s local win into the dense namespace, adding the
+    /// `skipped` probes charged by the shards walked before it.
+    #[inline]
+    fn remap(&self, shard: usize, local: Acquired, skipped: u32) -> Acquired {
+        Acquired::new(
+            Name::new(shard * self.shard_capacity + local.name().index()),
+            skipped + local.probes(),
+            local.batch(),
+            local.used_backup(),
+        )
+    }
+
+    /// The paper's `Get` over the group: run the full probing strategy in
+    /// the `home` shard, and only when it is exhausted steal from the
+    /// others in ring order (each with the same strategy, backup included),
+    /// charging every exhausted shard's full probe budget.  The caller's
+    /// RNG drives the probe order in every shard visited.  Returns a dense
+    /// name.
+    #[inline]
+    pub(crate) fn try_get<R: RandomSource + ?Sized>(
+        &self,
+        rng: &mut R,
+        home: usize,
+    ) -> Option<Acquired> {
+        let num_shards = self.shards.len();
+        debug_assert!(home < num_shards);
+        let mut probes = 0u32;
+        for hop in 0..num_shards {
+            let shard = (home + hop) % num_shards;
+            let core = &self.shards[shard].0;
+            match core.try_get(rng) {
+                Some(local) => return Some(self.remap(shard, local, probes)),
+                None => probes += core.exhausted_probe_count(),
+            }
+        }
+        None
+    }
+
+    /// The batched `Get` over the group (see [`ProbeCore::try_get_many`]):
+    /// the whole batch goes through the `home` shard's batched kernel first
+    /// and only the unfilled remainder spills into the ring-order steal
+    /// walk, threading the probe accumulator through every core walked.
+    /// Appends up to `k` dense names to `out` and returns how many.
+    #[inline]
+    pub(crate) fn try_get_many<R: RandomSource + ?Sized>(
+        &self,
+        rng: &mut R,
+        home: usize,
+        k: usize,
+        probes: &mut u32,
+        out: &mut Vec<Acquired>,
+    ) -> usize {
+        let num_shards = self.shards.len();
+        debug_assert!(home < num_shards);
+        let mut remaining = k;
+        for hop in 0..num_shards {
+            if remaining == 0 {
+                break;
+            }
+            let shard = (home + hop) % num_shards;
+            let before = out.len();
+            remaining -= self.shards[shard]
+                .0
+                .try_get_many(rng, remaining, probes, out);
+            for got in &mut out[before..] {
+                *got = self.remap(shard, *got, 0);
+            }
+        }
+        k - remaining
+    }
+
+    /// Splits a dense name into `(shard, local name)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dense` carries an epoch tag (it would otherwise alias a
+    /// slot through `index() mod shard_capacity`) or lies past the last
+    /// shard.
+    #[inline]
+    pub(crate) fn split(&self, dense: Name) -> (usize, Name) {
+        assert_eq!(
+            dense.epoch(),
+            0,
+            "a shard group handles only dense (epoch-0) names, got {dense}"
+        );
+        let shard = dense.index() / self.shard_capacity;
+        assert!(
+            shard < self.shards.len(),
+            "name {} out of range for a {}-shard group of capacity {}",
+            dense.index(),
+            self.shards.len(),
+            self.capacity()
+        );
+        (shard, Name::new(dense.index() % self.shard_capacity))
+    }
+
+    /// The core owning a dense name, and the name's local index there.
+    ///
+    /// # Panics
+    ///
+    /// As [`ShardGroup::split`].
+    #[inline]
+    pub(crate) fn locate(&self, dense: Name) -> (&ProbeCore, Name) {
+        let (shard, local) = self.split(dense);
+        (&self.shards[shard].0, local)
+    }
+
+    /// The batched `Free`: sorts the dense names once, splits them into
+    /// per-shard runs and releases each run through the owning core's bulk
+    /// kernel ([`ProbeCore::free_many`]).  Like that kernel, it checks every
+    /// name before it releases any, so a bad name leaves the whole batch
+    /// held.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a tagged or out-of-range name, or a double free.
+    pub(crate) fn free_many(&self, names: &[Name]) {
+        let mut sorted = names.to_vec();
+        sorted.sort_unstable();
+        // The order is epoch-major, so the largest name is the one to check:
+        // if it is an in-range epoch-0 name, so is every other.
+        if let Some(&last) = sorted.last() {
+            self.split(last);
+        }
+        let mut start = 0;
+        while start < sorted.len() {
+            let shard = sorted[start].index() / self.shard_capacity;
+            let base = shard * self.shard_capacity;
+            let end =
+                start + sorted[start..].partition_point(|n| n.index() < base + self.shard_capacity);
+            for name in &mut sorted[start..end] {
+                *name = Name::new(name.index() - base);
+            }
+            self.shards[shard].0.free_many(&sorted[start..end]);
+            start = end;
+        }
+    }
+
+    /// One test-and-set on the hinted dense slot (see
+    /// [`ProbeCore::hint_acquire`]); stale hints (tagged, out of range) are
+    /// rejected, never panic.
+    pub(crate) fn hint_acquire(&self, dense: Name) -> Option<Acquired> {
+        if dense.epoch() != 0 {
+            return None;
+        }
+        let shard = dense.index() / self.shard_capacity;
+        let got = self
+            .shards
+            .get(shard)?
+            .0
+            .hint_acquire(Name::new(dense.index() % self.shard_capacity))?;
+        Some(self.remap(shard, got, 0))
+    }
+
+    /// Appends every held slot's dense name to `out`, shard by shard,
+    /// through each core's own `Collect` fast path.
+    pub(crate) fn collect_into(&self, out: &mut Vec<Name>) {
+        for (shard, core) in self.cores().enumerate() {
+            core.collect_into(shard * self.shard_capacity, out);
+        }
+    }
+
+    /// Visits every held slot's dense index.
+    pub(crate) fn for_each_held(&self, mut f: impl FnMut(usize)) {
+        for (shard, core) in self.cores().enumerate() {
+            let base = shard * self.shard_capacity;
+            core.for_each_held(|local| f(base + local));
+        }
+    }
+
+    /// Whether any slot of any shard is held.
+    pub(crate) fn any_held(&self) -> bool {
+        self.cores().any(ProbeCore::any_held)
+    }
+
+    /// Held slots in batch `i`, summed across shards.
+    pub(crate) fn batch_occupancy(&self, i: usize) -> usize {
+        self.cores().map(|core| core.batch_occupancy(i)).sum()
+    }
+
+    /// Total backup slots across shards.
+    pub(crate) fn backup_capacity(&self) -> usize {
+        self.cores().map(ProbeCore::backup_len).sum()
+    }
+
+    /// Held backup slots, summed across shards.
+    pub(crate) fn backup_occupancy(&self) -> usize {
+        self.cores().map(ProbeCore::backup_occupancy).sum()
+    }
+
+    /// The aggregated census: batch `i` of every shard folded into one
+    /// region, likewise the backups (one region per batch plus one backup
+    /// region, whatever the shard count), relabelled through `label`.  The
+    /// paper's balance definitions — predicates over batch totals — apply
+    /// to it unchanged.
+    pub(crate) fn region_occupancies(
+        &self,
+        label: impl Fn(Region) -> Region,
+    ) -> Vec<RegionOccupancy> {
+        let geometry = self.geometry();
+        let mut regions: Vec<RegionOccupancy> = (0..geometry.num_batches())
+            .map(|batch| {
+                RegionOccupancy::new(
+                    label(Region::Batch(batch)),
+                    geometry.batch_len(batch) * self.shards.len(),
+                    self.batch_occupancy(batch),
+                )
+            })
+            .collect();
+        let backup_capacity = self.backup_capacity();
+        if backup_capacity > 0 {
+            regions.push(RegionOccupancy::new(
+                label(Region::Backup),
+                backup_capacity,
+                self.backup_occupancy(),
+            ));
+        }
+        regions
+    }
 }
 
 /// The storage behind one epoch cell.
@@ -54,40 +355,23 @@ pub(crate) enum CellBackend {
 impl CellBackend {
     /// Materializes the backend for an epoch of bound `contention`, built
     /// from the shared base configuration.  `shard_group == 0` yields a
-    /// flat core; otherwise the contention is split over `⌈C / g⌉` shards
-    /// of bound `⌈C / shards⌉` each (a hybrid slot split chosen against the
-    /// full main array is rescaled per shard, mirroring
-    /// [`crate::ShardedLevelArray::from_config`]).
+    /// flat core; otherwise a [`ShardGroup`] of `⌈C / g⌉` shards.
     pub(crate) fn build(base: &LevelArrayConfig, contention: usize) -> Result<Self, ConfigError> {
         let sized = base.clone().with_contention(contention);
-        let group = base.shard_group_value();
-        if group == 0 {
-            return Ok(CellBackend::Flat(sized.validate()?.into_probe_core()));
+        match base.shard_group_value() {
+            0 => Ok(CellBackend::Flat(sized.validate()?.into_probe_core())),
+            group => {
+                let shards = contention.div_ceil(group).max(1);
+                Ok(CellBackend::Sharded(ShardGroup::build(&sized, shards)?))
+            }
         }
-        let shards = contention.div_ceil(group).max(1);
-        let shard_contention = contention.div_ceil(shards);
-        let mut per_shard = sized.with_contention(shard_contention);
-        if let SlotLayout::Hybrid { packed_from } = per_shard.slot_layout_value() {
-            let split = packed_from.div_ceil(shards).min(per_shard.main_len());
-            per_shard = per_shard.slot_layout(SlotLayout::Hybrid { packed_from: split });
-        }
-        let cores: Vec<PaddedCore> = (0..shards)
-            .map(|_| Ok(PaddedCore(per_shard.validate()?.into_probe_core())))
-            .collect::<Result<_, ConfigError>>()?;
-        let shard_capacity = cores[0].0.capacity();
-        let exhausted_probes = cores.iter().map(|c| c.0.exhausted_probe_count()).sum();
-        Ok(CellBackend::Sharded(ShardGroup {
-            shards: cores.into_boxed_slice(),
-            shard_capacity,
-            exhausted_probes,
-        }))
     }
 
     /// Number of shard cores (1 for a flat backend).
     pub(crate) fn num_shards(&self) -> usize {
         match self {
             CellBackend::Flat(_) => 1,
-            CellBackend::Sharded(g) => g.shards.len(),
+            CellBackend::Sharded(g) => g.num_shards(),
         }
     }
 
@@ -96,7 +380,7 @@ impl CellBackend {
     pub(crate) fn shard_capacity(&self) -> usize {
         match self {
             CellBackend::Flat(core) => core.capacity(),
-            CellBackend::Sharded(g) => g.shard_capacity,
+            CellBackend::Sharded(g) => g.shard_capacity(),
         }
     }
 
@@ -104,7 +388,7 @@ impl CellBackend {
     pub(crate) fn capacity(&self) -> usize {
         match self {
             CellBackend::Flat(core) => core.capacity(),
-            CellBackend::Sharded(g) => g.shard_capacity * g.shards.len(),
+            CellBackend::Sharded(g) => g.capacity(),
         }
     }
 
@@ -112,7 +396,7 @@ impl CellBackend {
     pub(crate) fn geometry(&self) -> &BatchGeometry {
         match self {
             CellBackend::Flat(core) => core.geometry(),
-            CellBackend::Sharded(g) => g.shards[0].0.geometry(),
+            CellBackend::Sharded(g) => g.geometry(),
         }
     }
 
@@ -121,14 +405,14 @@ impl CellBackend {
     pub(crate) fn exhausted_probe_count(&self) -> u32 {
         match self {
             CellBackend::Flat(core) => core.exhausted_probe_count(),
-            CellBackend::Sharded(g) => g.exhausted_probes,
+            CellBackend::Sharded(g) => g.exhausted_probe_count(),
         }
     }
 
     /// The paper's `Get` over this backend: flat runs it directly; sharded
     /// routes to `home` (already reduced modulo the shard count by the
-    /// caller's topology mapping) and steals ring-order on exhaustion.
-    /// Returns an acquisition whose name is dense in the cell's namespace.
+    /// caller's topology mapping) through [`ShardGroup::try_get`].  Returns
+    /// an acquisition whose name is dense in the cell's namespace.
     pub(crate) fn try_get<R: RandomSource + ?Sized>(
         &self,
         rng: &mut R,
@@ -136,35 +420,13 @@ impl CellBackend {
     ) -> Option<Acquired> {
         match self {
             CellBackend::Flat(core) => core.try_get(rng),
-            CellBackend::Sharded(g) => {
-                let num_shards = g.shards.len();
-                debug_assert!(home < num_shards);
-                let mut probes = 0u32;
-                for hop in 0..num_shards {
-                    let shard = (home + hop) % num_shards;
-                    let core = &g.shards[shard].0;
-                    match core.try_get(rng) {
-                        Some(local) => {
-                            return Some(Acquired::new(
-                                Name::new(shard * g.shard_capacity + local.name().index()),
-                                probes + local.probes(),
-                                local.batch(),
-                                local.used_backup(),
-                            ));
-                        }
-                        None => probes += core.exhausted_probe_count(),
-                    }
-                }
-                None
-            }
+            CellBackend::Sharded(g) => g.try_get(rng, home),
         }
     }
 
-    /// The batched `Get` over this backend (see [`ProbeCore::try_get_many`]):
-    /// flat runs the batched kernel directly; sharded routes the whole batch
-    /// through the `home` shard first and spills the unfilled remainder into
-    /// the ring-order steal walk, threading the probe accumulator through
-    /// every core walked.  Appended names are dense in the cell's namespace.
+    /// The batched `Get` over this backend (see [`ProbeCore::try_get_many`]
+    /// and [`ShardGroup::try_get_many`]).  Appended names are dense in the
+    /// cell's namespace.
     pub(crate) fn try_get_many<R: RandomSource + ?Sized>(
         &self,
         rng: &mut R,
@@ -175,36 +437,12 @@ impl CellBackend {
     ) -> usize {
         match self {
             CellBackend::Flat(core) => core.try_get_many(rng, k, probes, out),
-            CellBackend::Sharded(g) => {
-                let num_shards = g.shards.len();
-                debug_assert!(home < num_shards);
-                let mut remaining = k;
-                for hop in 0..num_shards {
-                    if remaining == 0 {
-                        break;
-                    }
-                    let shard = (home + hop) % num_shards;
-                    let before = out.len();
-                    let won = g.shards[shard].0.try_get_many(rng, remaining, probes, out);
-                    let base = shard * g.shard_capacity;
-                    for got in &mut out[before..] {
-                        *got = Acquired::new(
-                            Name::new(base + got.name().index()),
-                            got.probes(),
-                            got.batch(),
-                            got.used_backup(),
-                        );
-                    }
-                    remaining -= won;
-                }
-                k - remaining
-            }
+            CellBackend::Sharded(g) => g.try_get_many(rng, home, k, probes, out),
         }
     }
 
-    /// The batched `Free` over this backend: dense in-cell names are sorted
-    /// once, split into per-shard runs, and each run is released through the
-    /// owning core's bulk kernel ([`ProbeCore::free_many`]).
+    /// The batched `Free` of dense in-cell names; checks every name before
+    /// it releases any.
     ///
     /// # Panics
     ///
@@ -212,28 +450,7 @@ impl CellBackend {
     pub(crate) fn free_many(&self, names: &[Name]) {
         match self {
             CellBackend::Flat(core) => core.free_many(names),
-            CellBackend::Sharded(g) => {
-                let mut sorted = names.to_vec();
-                sorted.sort_unstable();
-                let mut start = 0;
-                while start < sorted.len() {
-                    let shard = sorted[start].index() / g.shard_capacity;
-                    assert!(
-                        shard < g.shards.len(),
-                        "index {} out of range for a {}-shard cell of capacity {}",
-                        sorted[start].index(),
-                        g.shards.len(),
-                        self.capacity()
-                    );
-                    let base = shard * g.shard_capacity;
-                    let end = sorted.partition_point(|n| n.index() < base + g.shard_capacity);
-                    for name in &mut sorted[start..end] {
-                        *name = Name::new(name.index() - base);
-                    }
-                    g.shards[shard].0.free_many(&sorted[start..end]);
-                    start = end;
-                }
-            }
+            CellBackend::Sharded(g) => g.free_many(names),
         }
     }
 
@@ -241,25 +458,11 @@ impl CellBackend {
     ///
     /// # Panics
     ///
-    /// Panics if the index is out of range (the shard core's own checks
-    /// reject out-of-range locals; this rejects out-of-range shards).
+    /// Panics if the index is out of range.
     fn locate(&self, dense: Name) -> (&ProbeCore, Name) {
         match self {
             CellBackend::Flat(core) => (core, dense),
-            CellBackend::Sharded(g) => {
-                let shard = dense.index() / g.shard_capacity;
-                assert!(
-                    shard < g.shards.len(),
-                    "index {} out of range for a {}-shard cell of capacity {}",
-                    dense.index(),
-                    g.shards.len(),
-                    self.capacity()
-                );
-                (
-                    &g.shards[shard].0,
-                    Name::new(dense.index() % g.shard_capacity),
-                )
-            }
+            CellBackend::Sharded(g) => g.locate(dense),
         }
     }
 
@@ -278,20 +481,7 @@ impl CellBackend {
     pub(crate) fn hint_acquire(&self, dense: Name) -> Option<Acquired> {
         match self {
             CellBackend::Flat(core) => core.hint_acquire(dense),
-            CellBackend::Sharded(g) => {
-                let shard = dense.index() / g.shard_capacity;
-                if shard >= g.shards.len() {
-                    return None;
-                }
-                let local = Name::new(dense.index() % g.shard_capacity);
-                let got = g.shards[shard].0.hint_acquire(local)?;
-                Some(Acquired::new(
-                    Name::new(shard * g.shard_capacity + got.name().index()),
-                    got.probes(),
-                    got.batch(),
-                    got.used_backup(),
-                ))
-            }
+            CellBackend::Sharded(g) => g.hint_acquire(dense),
         }
     }
 
@@ -311,20 +501,15 @@ impl CellBackend {
     pub(crate) fn any_held(&self) -> bool {
         match self {
             CellBackend::Flat(core) => core.any_held(),
-            CellBackend::Sharded(g) => g.shards.iter().any(|s| s.0.any_held()),
+            CellBackend::Sharded(g) => g.any_held(),
         }
     }
 
     /// Visits every held slot's dense in-cell index.
-    pub(crate) fn for_each_held(&self, mut f: impl FnMut(usize)) {
+    pub(crate) fn for_each_held(&self, f: impl FnMut(usize)) {
         match self {
             CellBackend::Flat(core) => core.for_each_held(f),
-            CellBackend::Sharded(g) => {
-                for (shard, core) in g.shards.iter().enumerate() {
-                    let base = shard * g.shard_capacity;
-                    core.0.for_each_held(|local| f(base + local));
-                }
-            }
+            CellBackend::Sharded(g) => g.for_each_held(f),
         }
     }
 
@@ -332,7 +517,7 @@ impl CellBackend {
     pub(crate) fn batch_occupancy(&self, i: usize) -> usize {
         match self {
             CellBackend::Flat(core) => core.batch_occupancy(i),
-            CellBackend::Sharded(g) => g.shards.iter().map(|s| s.0.batch_occupancy(i)).sum(),
+            CellBackend::Sharded(g) => g.batch_occupancy(i),
         }
     }
 
@@ -345,7 +530,7 @@ impl CellBackend {
     pub(crate) fn backup_capacity(&self) -> usize {
         match self {
             CellBackend::Flat(core) => core.backup_len(),
-            CellBackend::Sharded(g) => g.shards.iter().map(|s| s.0.backup_len()).sum(),
+            CellBackend::Sharded(g) => g.backup_capacity(),
         }
     }
 
@@ -353,42 +538,21 @@ impl CellBackend {
     pub(crate) fn backup_occupancy(&self) -> usize {
         match self {
             CellBackend::Flat(core) => core.backup_occupancy(),
-            CellBackend::Sharded(g) => g.shards.iter().map(|s| s.0.backup_occupancy()).sum(),
+            CellBackend::Sharded(g) => g.backup_occupancy(),
         }
     }
 
-    /// The cell's census as labelled regions: per-batch totals aggregated
-    /// across the shard group (so one epoch reports one region per batch
-    /// plus one backup region, whatever its shard count), then relabelled
-    /// through `label` — the hook the elastic census uses to tag regions
-    /// with the epoch id.
+    /// The cell's census as labelled regions (one per batch plus one backup
+    /// region, whatever the shard count — see
+    /// [`ShardGroup::region_occupancies`]), relabelled through `label` — the
+    /// hook the elastic census uses to tag regions with the epoch id.
     pub(crate) fn region_occupancies(
         &self,
         label: impl Fn(Region) -> Region,
     ) -> Vec<RegionOccupancy> {
         match self {
             CellBackend::Flat(core) => core.region_occupancies(label),
-            CellBackend::Sharded(_) => {
-                let geometry = self.geometry();
-                let mut regions: Vec<RegionOccupancy> = (0..geometry.num_batches())
-                    .map(|batch| {
-                        RegionOccupancy::new(
-                            label(Region::Batch(batch)),
-                            self.batch_capacity(batch),
-                            self.batch_occupancy(batch),
-                        )
-                    })
-                    .collect();
-                let backup_capacity = self.backup_capacity();
-                if backup_capacity > 0 {
-                    regions.push(RegionOccupancy::new(
-                        label(Region::Backup),
-                        backup_capacity,
-                        self.backup_occupancy(),
-                    ));
-                }
-                regions
-            }
+            CellBackend::Sharded(g) => g.region_occupancies(label),
         }
     }
 }
@@ -525,7 +689,7 @@ mod tests {
             "must have stolen from shard 1"
         );
         let shard0_budget = match &backend {
-            CellBackend::Sharded(g) => g.shards[0].0.exhausted_probe_count(),
+            CellBackend::Sharded(g) => g.core(0).exhausted_probe_count(),
             CellBackend::Flat(_) => unreachable!(),
         };
         assert!(got.probes() > shard0_budget);
@@ -535,26 +699,5 @@ mod tests {
             shard0_budget * 2,
             "both shards share one sizing, so the budget doubles"
         );
-    }
-
-    #[test]
-    fn hybrid_split_rescales_per_shard() {
-        // n = 64 → main 128, batch-0 boundary 96.  With groups of 16 (4
-        // shards of main 32) the per-shard split must shrink to ≤ 32.
-        let config = LevelArrayConfig::new(64).hybrid_layout().shard_group(16);
-        let backend = CellBackend::build(&config, 64).unwrap();
-        match &backend {
-            CellBackend::Sharded(g) => {
-                let layout = g.shards[0].0.slot_layout();
-                match layout {
-                    SlotLayout::Hybrid { packed_from } => {
-                        assert!(packed_from <= g.shards[0].0.main_len());
-                        assert_eq!(packed_from, 24, "96 split 4 ways");
-                    }
-                    other => panic!("expected a hybrid shard layout, got {other:?}"),
-                }
-            }
-            CellBackend::Flat(_) => panic!("expected a sharded backend"),
-        }
     }
 }

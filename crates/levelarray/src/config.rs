@@ -273,30 +273,6 @@ impl LevelArrayConfig {
         self.slot_layout
     }
 
-    /// Selects [`SlotLayout::Hybrid`] with the default crossover: the
-    /// boundary of batch 0, computed from the *current* contention bound,
-    /// space factor and first-batch fraction.
-    ///
-    /// Batch 0 is where a `Get`'s first — and under the paper's default
-    /// policy usually only — random probe lands, so it takes the CAS storms;
-    /// keeping it word-per-slot avoids packed-word false sharing there while
-    /// the scan-dominated tail batches and the backup region stay packed.
-    /// The layout-ablation sweep (`make bench-layout`) measures this
-    /// crossover against both pure layouts.
-    ///
-    /// Call this *after* setting [`LevelArrayConfig::space_factor`] /
-    /// [`LevelArrayConfig::first_batch_fraction`]; like every explicit
-    /// [`SlotLayout::Hybrid`], the split is validated against the main-array
-    /// length by [`LevelArrayConfig::validate`].
-    #[must_use = "builder methods return the updated configuration"]
-    pub fn hybrid_layout(mut self) -> Self {
-        let packed_from = BatchGeometry::new(self.main_len(), self.first_batch_fraction)
-            .map(|g| g.batch_len(0))
-            .unwrap_or_else(|_| self.main_len());
-        self.slot_layout = SlotLayout::Hybrid { packed_from };
-        self
-    }
-
     /// Enables or disables the Free→Get hint cache (default: disabled).
     ///
     /// With the hint enabled, every `free` records the released slot in a
@@ -509,14 +485,6 @@ impl LevelArrayConfig {
                 return Err(ConfigError::InvalidShrinkWatermark(w));
             }
         }
-        if let SlotLayout::Hybrid { packed_from } = self.slot_layout {
-            if packed_from > self.main_len() {
-                return Err(ConfigError::HybridSplitOutOfRange {
-                    packed_from,
-                    main_len: self.main_len(),
-                });
-            }
-        }
 
         let geometry = BatchGeometry::new(self.main_len(), self.first_batch_fraction)
             .map_err(ConfigError::Geometry)?;
@@ -607,13 +575,6 @@ pub enum ConfigError {
     EmptyProbeVector,
     /// The derived geometry was invalid (bad first-batch fraction).
     Geometry(GeometryError),
-    /// A hybrid layout's `packed_from` split exceeded the main-array length.
-    HybridSplitOutOfRange {
-        /// The requested crossover index.
-        packed_from: usize,
-        /// The main-array length it must not exceed.
-        main_len: usize,
-    },
     /// A sharded build was requested with zero shards.
     ZeroShards,
     /// An elastic growth policy allowed zero live epochs.
@@ -636,13 +597,6 @@ impl fmt::Display for ConfigError {
                 write!(f, "per-batch probe policy needs at least one entry")
             }
             ConfigError::Geometry(e) => write!(f, "invalid geometry: {e}"),
-            ConfigError::HybridSplitOutOfRange {
-                packed_from,
-                main_len,
-            } => write!(
-                f,
-                "hybrid layout split {packed_from} exceeds the main-array length {main_len}"
-            ),
             ConfigError::ZeroShards => write!(f, "a sharded array needs at least one shard"),
             ConfigError::ZeroEpochs => {
                 write!(f, "an elastic growth policy needs at least one live epoch")
@@ -778,51 +732,6 @@ mod tests {
                 .unwrap_err(),
             ConfigError::Geometry(_)
         ));
-    }
-
-    #[test]
-    fn hybrid_layout_defaults_to_the_batch0_boundary() {
-        // n = 64: main 128, batch 0 = 96 slots — the contended head.
-        let config = LevelArrayConfig::new(64).hybrid_layout();
-        assert_eq!(
-            config.slot_layout_value(),
-            SlotLayout::Hybrid { packed_from: 96 }
-        );
-        assert!(config.validate().is_ok());
-        // The crossover follows the sizing knobs in effect when it is taken.
-        let wide = LevelArrayConfig::new(64).space_factor(4.0).hybrid_layout();
-        assert_eq!(
-            wide.slot_layout_value(),
-            SlotLayout::Hybrid { packed_from: 192 }
-        );
-    }
-
-    #[test]
-    fn hybrid_split_is_validated_against_the_main_length() {
-        // Both edges are legal: 0 (fully packed main) and main_len (fully
-        // word-per-slot main, packed backup).
-        for packed_from in [0usize, 7, 16] {
-            assert!(
-                LevelArrayConfig::new(8)
-                    .slot_layout(SlotLayout::Hybrid { packed_from })
-                    .validate()
-                    .is_ok(),
-                "split {packed_from} should be accepted"
-            );
-        }
-        let err = LevelArrayConfig::new(8)
-            .slot_layout(SlotLayout::hybrid(17))
-            .validate()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::HybridSplitOutOfRange {
-                packed_from: 17,
-                main_len: 16
-            }
-        );
-        assert!(err.to_string().contains("17"));
-        assert!(err.to_string().contains("16"));
     }
 
     #[test]

@@ -2187,6 +2187,27 @@ mod tests {
     }
 
     #[test]
+    fn hierarchical_free_many_with_an_out_of_range_name_releases_nothing() {
+        // Every name of the batch is checked before any is released, so the
+        // slots and the held count the retirement and shrink checks read
+        // still agree after the panic.
+        let array = LevelArrayConfig::new(8)
+            .shard_group(4)
+            .build_elastic()
+            .unwrap();
+        let held = array.get(&mut default_rng(44)).name();
+        let batch = [held, Name::new(array.capacity() + 5)];
+        let result = std::panic::catch_unwind(|| ActivityArray::free_many(&array, &batch));
+        assert!(result.is_err(), "the out-of-range name must panic");
+        assert!(
+            array.is_held(held),
+            "the batch released {held} before it panicked"
+        );
+        assert_eq!(array.collect(), vec![held]);
+        assert_eq!(array.epoch_held(0), Some(1));
+    }
+
+    #[test]
     fn batched_churn_across_threads_preserves_uniqueness() {
         use std::sync::Mutex;
 

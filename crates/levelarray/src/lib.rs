@@ -79,7 +79,6 @@
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 
 pub mod array;
 pub mod balance;

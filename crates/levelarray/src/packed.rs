@@ -14,8 +14,7 @@
 //! The trade-off is write-side density: 512 slots share each cache line, so
 //! concurrent `Get`s invalidate each other's lines more often than under the
 //! word-per-slot layout.  [`crate::slot::SlotLayout`] exposes the choice as a
-//! configuration knob (including the hybrid split that keeps the contended
-//! head word-per-slot), and the layout sweep in the `sweeps` bench measures
+//! configuration knob, and the layout sweep in the `sweeps` bench measures
 //! both sides of the trade.
 //!
 //! ## Batched scans
@@ -23,11 +22,8 @@
 //! The scan paths process `LANES` words per iteration: each chunk is
 //! snapshotted with one acquire load per word, whole chunks of zeros are
 //! skipped with a single OR-reduction, and popcounts are accumulated across
-//! the chunk before touching any individual bit.  With the `simd` cargo
-//! feature (nightly, `portable_simd`) the per-chunk popcount and
-//! any-bit-set reductions use `std::simd` `u64xN` vectors; the scalar
-//! fallback has identical semantics, and the one-word-at-a-time PR 5 walk is
-//! kept as `*_scalar` oracles that the differential tests (and the
+//! the chunk before touching any individual bit.  The one-word-at-a-time
+//! walk is kept as `*_scalar` oracles that the differential tests (and the
 //! `collect-scalar` bench reference cell) run against.
 
 use la_fault::fail_point;
@@ -40,7 +36,7 @@ use crate::slot::TasKind;
 /// Number of slots stored per atomic word.
 const BITS: usize = u64::BITS as usize;
 
-/// Words snapshotted per batched scan step; also the `std::simd` lane count.
+/// Words snapshotted per batched scan step.
 const LANES: usize = 8;
 
 /// A precomputed word-aligned view of a slot range: the inclusive word
@@ -387,37 +383,16 @@ impl PackedSlots {
         snap
     }
 
-    /// Popcount of one snapshot chunk (scalar fallback).
-    #[cfg(not(feature = "simd"))]
+    /// Popcount of one snapshot chunk.
     #[inline]
     fn chunk_popcount(snap: [u64; LANES]) -> usize {
         snap.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Popcount of one snapshot chunk via `std::simd` vector popcount.
-    #[cfg(feature = "simd")]
-    #[inline]
-    fn chunk_popcount(snap: [u64; LANES]) -> usize {
-        use std::simd::num::SimdUint;
-        std::simd::Simd::<u64, LANES>::from_array(snap)
-            .count_ones()
-            .reduce_sum() as usize
-    }
-
-    /// Whether any bit of one snapshot chunk is set (scalar OR-reduction).
-    #[cfg(not(feature = "simd"))]
+    /// Whether any bit of one snapshot chunk is set (an OR-reduction).
     #[inline]
     fn chunk_any(snap: [u64; LANES]) -> bool {
         snap.iter().fold(0u64, |acc, w| acc | w) != 0
-    }
-
-    /// Whether any bit of one snapshot chunk is set (`std::simd` mask test).
-    #[cfg(feature = "simd")]
-    #[inline]
-    fn chunk_any(snap: [u64; LANES]) -> bool {
-        use std::simd::cmp::SimdPartialEq;
-        let v = std::simd::Simd::<u64, LANES>::from_array(snap);
-        v.simd_ne(std::simd::Simd::splat(0)).any()
     }
 
     /// Walks the set bits of one masked word snapshot in increasing order,
@@ -432,8 +407,7 @@ impl PackedSlots {
     }
 
     /// The number of held slots in `range`: one load plus a `count_ones` per
-    /// word, accumulated `LANES` words at a time (vectorised under the
-    /// `simd` feature).
+    /// word, accumulated `LANES` words at a time.
     #[inline]
     pub fn count_held(&self, range: Range<usize>) -> usize {
         let span = self.span(range);
@@ -691,8 +665,7 @@ mod tests {
         }
     }
 
-    /// The batched scans (and the `simd` versions, when the feature is on)
-    /// must agree exactly with the one-word-at-a-time reference walk on
+    /// The batched scans must agree exactly with the one-word-at-a-time reference walk on
     /// random occupancy patterns and random subranges, including all the
     /// word-boundary edge cases.
     #[test]

@@ -8,10 +8,11 @@
 //! [`Slot`]s or the bit-packed [`crate::packed::PackedSlots`]).  It knows how
 //! to *probe*, *free*, *scan* and *census* those slots — and nothing else.
 //! The [`crate::LevelArray`] is a `ProbeCore` plus a contention bound; the
-//! [`crate::ShardedLevelArray`] is `S` cache-padded `ProbeCore`s plus shard
-//! routing and work stealing.  Keeping the machinery here means every probing
-//! facade shares one implementation of the paper's semantics (uniqueness,
-//! wait-freedom, occupancy accounting).
+//! [`crate::ShardedLevelArray`] and the hierarchical epochs of
+//! [`crate::ElasticLevelArray`] are `S` cache-padded `ProbeCore`s behind one
+//! shard-routing and work-stealing implementation.  Keeping the machinery
+//! here means every probing facade shares one implementation of the paper's
+//! semantics (uniqueness, wait-freedom, occupancy accounting).
 //!
 //! The probing entry point [`ProbeCore::try_get`] is generic over the
 //! caller's [`RandomSource`] so the per-probe draw inlines into the hot loop;
@@ -87,13 +88,12 @@ fn tail_mask(tail: &[Slot]) -> u64 {
 
 /// The word-per-slot scan kernel: calls `f` with the index of every held
 /// slot of `slots` in `range`, in increasing order.  It is the one walk
-/// behind `SlotSlab::for_each_held`, `SlotSlab::collect_all_into` and the
-/// word head of a hybrid slab.  Each 64-slot chunk is snapshotted into a
-/// held mask whose set bits are then walked with `trailing_zeros` — the
-/// snapshot-then-walk shape of [`PackedSlots::for_each_held`], through the
-/// same bit walk.  It branches per chunk and per held slot but never per
-/// slot, so the scan's speed does not hang on how the compiler happens to
-/// lay out a per-slot branch.
+/// behind `SlotSlab::for_each_held` and `SlotSlab::collect_all_into`.  Each
+/// 64-slot chunk is snapshotted into a held mask whose set bits are then
+/// walked with `trailing_zeros` — the snapshot-then-walk shape of
+/// [`PackedSlots::for_each_held`], through the same bit walk.  It branches
+/// per chunk and per held slot but never per slot, so the scan's speed does
+/// not hang on how the compiler happens to lay out a per-slot branch.
 #[inline]
 fn for_each_held_slot(slots: &[Slot], range: Range<usize>, mut f: impl FnMut(usize)) {
     let mut base = range.start;
@@ -145,7 +145,7 @@ fn claim_free_slots(
     claimed
 }
 
-/// One slab of test-and-set registers in any of the three representations.
+/// One slab of test-and-set registers in either representation.
 ///
 /// The variants expose identical semantics (see [`SlotLayout`]); the enum
 /// match in each accessor compiles to a perfectly predicted branch on a
@@ -157,31 +157,28 @@ enum SlotSlab {
     WordPerSlot(Box<[Slot]>),
     /// One bit per slot, 64 per `AtomicU64` word.
     Packed(PackedSlots),
-    /// Word-per-slot head (`0..word.len()`), bit-packed tail
-    /// (`word.len()..len()`).  The split is `word.len()` — there is no
-    /// separate field to drift out of sync.
-    Hybrid {
-        /// The contended head, one `AtomicU32` per slot.
-        word: Box<[Slot]>,
-        /// The scan-dominated tail, one bit per slot.
-        packed: PackedSlots,
-    },
 }
 
 /// Precomputed census geometry for one region (a main-array batch or the
-/// backup): the slot subrange falling on the word-per-slot side of the slab's
-/// layout split, and the packed side's word bounds and edge masks resolved
-/// once at construction — so repeated censuses (`batch_occupancy`, the
-/// facades' `batchwise_occupancy` aggregates) don't re-derive region
-/// boundaries per call.
+/// backup): its slot range, plus the packed layout's word bounds and edge
+/// masks resolved once at construction — so repeated censuses
+/// (`batch_occupancy`, the facades' `batchwise_occupancy` aggregates) don't
+/// re-derive region boundaries per call.
 #[derive(Debug, Clone)]
 struct CensusRegion {
-    /// Word-per-slot subrange, in slab-local slot indices (empty unless the
-    /// slab has a word-per-slot head overlapping the region).
-    word: Range<usize>,
-    /// Packed subrange, in packed-local indices (empty when the region lies
-    /// entirely in a word-per-slot head).
-    packed: WordSpan,
+    /// The region's slots, in slab-local indices.
+    range: Range<usize>,
+    /// The same slots as packed words.
+    span: WordSpan,
+}
+
+impl CensusRegion {
+    fn new(range: Range<usize>) -> Self {
+        CensusRegion {
+            span: WordSpan::new(range.clone()),
+            range,
+        }
+    }
 }
 
 impl SlotSlab {
@@ -191,13 +188,6 @@ impl SlotSlab {
                 SlotSlab::WordPerSlot((0..len).map(|_| Slot::new()).collect())
             }
             SlotLayout::Packed => SlotSlab::Packed(PackedSlots::new(len)),
-            SlotLayout::Hybrid { packed_from } => {
-                let split = packed_from.min(len);
-                SlotSlab::Hybrid {
-                    word: (0..split).map(|_| Slot::new()).collect(),
-                    packed: PackedSlots::new(len - split),
-                }
-            }
         }
     }
 
@@ -205,7 +195,6 @@ impl SlotSlab {
         match self {
             SlotSlab::WordPerSlot(slots) => slots.len(),
             SlotSlab::Packed(slab) => slab.len(),
-            SlotSlab::Hybrid { word, packed } => word.len() + packed.len(),
         }
     }
 
@@ -218,13 +207,6 @@ impl SlotSlab {
         match self {
             SlotSlab::WordPerSlot(slots) => slots[idx].try_acquire(kind),
             SlotSlab::Packed(slab) => slab.try_acquire(idx, kind),
-            SlotSlab::Hybrid { word, packed } => {
-                if idx < word.len() {
-                    word[idx].try_acquire(kind)
-                } else {
-                    packed.try_acquire(idx - word.len(), kind)
-                }
-            }
         }
     }
 
@@ -233,13 +215,6 @@ impl SlotSlab {
         match self {
             SlotSlab::WordPerSlot(slots) => slots[idx].release(),
             SlotSlab::Packed(slab) => slab.release(idx),
-            SlotSlab::Hybrid { word, packed } => {
-                if idx < word.len() {
-                    word[idx].release()
-                } else {
-                    packed.release(idx - word.len())
-                }
-            }
         }
     }
 
@@ -248,13 +223,6 @@ impl SlotSlab {
         match self {
             SlotSlab::WordPerSlot(slots) => slots[idx].is_held(),
             SlotSlab::Packed(slab) => slab.is_held(idx),
-            SlotSlab::Hybrid { word, packed } => {
-                if idx < word.len() {
-                    word[idx].is_held()
-                } else {
-                    packed.is_held(idx - word.len())
-                }
-            }
         }
     }
 
@@ -262,16 +230,13 @@ impl SlotSlab {
     /// (slab indices), visiting them in rotation order from `start`, and
     /// returns the number claimed.
     ///
-    /// The pure bit-packed slab takes the one-RMW multi-claim kernel
+    /// The bit-packed slab takes the one-RMW multi-claim kernel
     /// ([`PackedSlots::claim_word_window`]) — slab indices and packed indices
     /// coincide, so the slab window is exactly one word.  The word-per-slot
     /// slab under [`TasKind::CompareExchange`] takes [`claim_free_slots`],
     /// which reads the window's held mask first and tries only the slots
-    /// that looked free.  `Swap` and the hybrid slab claim with one
-    /// test-and-set per slot in the same rotation order (under `Hybrid` the
-    /// packed side's bit alignment is shifted by `word.len()`, so a
-    /// slab-aligned window may straddle two packed words — the loop is the
-    /// layout-agnostic equivalent).  All of them claim identical slots
+    /// that looked free; under `Swap` it claims with one test-and-set per
+    /// slot in the same rotation order.  All of them claim identical slots
     /// single-threaded.
     fn claim_window(
         &self,
@@ -281,19 +246,19 @@ impl SlotSlab {
         kind: TasKind,
         f: &mut impl FnMut(usize),
     ) -> usize {
-        match self {
+        let slots = match self {
             SlotSlab::Packed(slab) => return slab.claim_word_window(range, start, k, kind, f),
             SlotSlab::WordPerSlot(slots) if kind == TasKind::CompareExchange => {
                 return claim_free_slots(slots, range, start, k, f)
             }
-            _ => {}
-        }
+            SlotSlab::WordPerSlot(slots) => slots,
+        };
         let mut claimed = 0usize;
         for idx in (start..range.end).chain(range.start..start) {
             if claimed == k {
                 break;
             }
-            if self.try_acquire(idx, kind) {
+            if slots[idx].try_acquire(kind) {
                 claimed += 1;
                 f(idx);
             }
@@ -302,9 +267,9 @@ impl SlotSlab {
     }
 
     /// Releases the sorted slab indices in `indices` (each offset by `base`:
-    /// slab-local index is `indices[i] - base`).  Bit-packed regions are
+    /// slab-local index is `indices[i] - base`).  Bit-packed slabs are
     /// cleared with one `fetch_and` per touched word
-    /// ([`PackedSlots::release_sorted`]); word-per-slot regions with one RMW
+    /// ([`PackedSlots::release_sorted`]); word-per-slot slabs with one RMW
     /// per slot.
     ///
     /// # Panics
@@ -312,66 +277,27 @@ impl SlotSlab {
     /// Panics on a duplicate or unheld index (a double free), reporting the
     /// caller-namespace value.
     fn release_sorted(&self, indices: &[usize], base: usize) {
-        let word_side = |slots: &[Slot], indices: &[usize]| {
-            for &raw in indices {
-                assert!(
-                    slots[raw - base].release(),
-                    "double free: name {raw} was not held when free_many() was called"
-                );
-            }
-        };
         match self {
-            SlotSlab::WordPerSlot(slots) => word_side(slots, indices),
-            SlotSlab::Packed(slab) => slab.release_sorted(indices, base),
-            SlotSlab::Hybrid { word, packed } => {
-                let split = indices.partition_point(|&raw| raw - base < word.len());
-                word_side(word, &indices[..split]);
-                packed.release_sorted(&indices[split..], base + word.len());
-            }
-        }
-    }
-
-    /// Splits `range` at the hybrid boundary `split` into the word-side part
-    /// (slab-local indices) and the packed-side part (packed-local indices).
-    fn split_range(range: &Range<usize>, split: usize) -> (Range<usize>, Range<usize>) {
-        let word = range.start.min(split)..range.end.min(split);
-        let packed = range.start.max(split) - split..range.end.max(split) - split;
-        (word, packed)
-    }
-
-    /// Resolves `range` into a [`CensusRegion`] for this slab's layout.
-    fn census_region(&self, range: Range<usize>) -> CensusRegion {
-        match self {
-            SlotSlab::WordPerSlot(_) => CensusRegion {
-                word: range,
-                packed: WordSpan::new(0..0),
-            },
-            SlotSlab::Packed(slab) => CensusRegion {
-                word: 0..0,
-                packed: slab.span(range),
-            },
-            SlotSlab::Hybrid { word, packed } => {
-                let (word_part, packed_part) = Self::split_range(&range, word.len());
-                CensusRegion {
-                    word: word_part,
-                    packed: packed.span(packed_part),
+            SlotSlab::WordPerSlot(slots) => {
+                for &raw in indices {
+                    assert!(
+                        slots[raw - base].release(),
+                        "double free: name {raw} was not held when free_many() was called"
+                    );
                 }
             }
+            SlotSlab::Packed(slab) => slab.release_sorted(indices, base),
         }
     }
 
     /// The number of held slots in a precomputed [`CensusRegion`].
     fn count_region(&self, region: &CensusRegion) -> usize {
-        let word_side = |slots: &[Slot]| {
-            slots[region.word.clone()]
+        match self {
+            SlotSlab::WordPerSlot(slots) => slots[region.range.clone()]
                 .iter()
                 .filter(|s| s.is_held())
-                .count()
-        };
-        match self {
-            SlotSlab::WordPerSlot(slots) => word_side(slots),
-            SlotSlab::Packed(slab) => slab.count_span(region.packed),
-            SlotSlab::Hybrid { word, packed } => word_side(word) + packed.count_span(region.packed),
+                .count(),
+            SlotSlab::Packed(slab) => slab.count_span(region.span),
         }
     }
 
@@ -383,42 +309,28 @@ impl SlotSlab {
         match self {
             SlotSlab::WordPerSlot(slots) => slots[range].iter().filter(|s| s.is_held()).count(),
             SlotSlab::Packed(slab) => slab.count_held(range),
-            SlotSlab::Hybrid { word, packed } => {
-                let (word_part, packed_part) = Self::split_range(&range, word.len());
-                word[word_part].iter().filter(|s| s.is_held()).count()
-                    + packed.count_held(packed_part)
-            }
         }
     }
 
     #[inline]
-    fn for_each_held(&self, range: Range<usize>, mut f: impl FnMut(usize)) {
+    fn for_each_held(&self, range: Range<usize>, f: impl FnMut(usize)) {
         match self {
             SlotSlab::WordPerSlot(slots) => for_each_held_slot(slots, range, f),
             SlotSlab::Packed(slab) => slab.for_each_held(range, f),
-            SlotSlab::Hybrid { word, packed } => {
-                let (word_part, packed_part) = Self::split_range(&range, word.len());
-                for_each_held_slot(word, word_part, &mut f);
-                let split = word.len();
-                packed.for_each_held(packed_part, |idx| f(split + idx));
-            }
         }
     }
 
     /// Appends a [`Name`] (offset by `name_base`) for every held slot, in
-    /// increasing order, taking the allocation-free packed fast path
-    /// ([`PackedSlots::collect_into`]) wherever the slab stores bits and the
-    /// mask kernel ([`for_each_held_slot`]) wherever it stores words.
+    /// increasing order: the allocation-free packed fast path
+    /// ([`PackedSlots::collect_into`]) for a bit slab, the mask kernel
+    /// ([`for_each_held_slot`]) for a word slab.
     #[inline]
     fn collect_all_into(&self, name_base: usize, out: &mut Vec<Name>) {
-        let mut push = |idx| out.push(Name::new(name_base + idx));
         match self {
-            SlotSlab::WordPerSlot(slots) => for_each_held_slot(slots, 0..slots.len(), push),
+            SlotSlab::WordPerSlot(slots) => for_each_held_slot(slots, 0..slots.len(), |idx| {
+                out.push(Name::new(name_base + idx))
+            }),
             SlotSlab::Packed(slab) => slab.collect_into(0..slab.len(), name_base, out),
-            SlotSlab::Hybrid { word, packed } => {
-                for_each_held_slot(word, 0..word.len(), &mut push);
-                packed.collect_into(0..packed.len(), name_base + word.len(), out);
-            }
         }
     }
 
@@ -426,9 +338,6 @@ impl SlotSlab {
         match self {
             SlotSlab::WordPerSlot(slots) => slots.iter().any(|s| s.is_held()),
             SlotSlab::Packed(slab) => slab.any_held(),
-            SlotSlab::Hybrid { word, packed } => {
-                word.iter().any(|s| s.is_held()) || packed.any_held()
-            }
         }
     }
 }
@@ -488,10 +397,6 @@ pub struct ProbeCore {
 impl ProbeCore {
     /// Creates a core with `geometry.main_len()` main slots and `backup_len`
     /// backup slots, all free, stored in the requested [`SlotLayout`].
-    ///
-    /// Under [`SlotLayout::Hybrid`] the split applies to the *main* array;
-    /// the backup array — where sequential scans dominate and random CAS
-    /// storms never land — is stored fully packed.
     pub fn new(
         geometry: BatchGeometry,
         backup_len: usize,
@@ -500,21 +405,14 @@ impl ProbeCore {
         slot_layout: SlotLayout,
     ) -> Self {
         let main = SlotSlab::new(geometry.main_len(), slot_layout);
-        let backup_layout = match slot_layout {
-            SlotLayout::Hybrid { .. } => SlotLayout::Packed,
-            other => other,
-        };
-        let backup = SlotSlab::new(backup_len, backup_layout);
+        let backup = SlotSlab::new(backup_len, slot_layout);
         let exhausted_probes = (0..geometry.num_batches())
             .map(|b| probe_policy.probes_in_batch(b))
             .sum::<u32>()
             + backup_len as u32;
-        let mut census: Vec<CensusRegion> = geometry
-            .batches()
-            .map(|range| main.census_region(range))
-            .collect();
+        let mut census: Vec<CensusRegion> = geometry.batches().map(CensusRegion::new).collect();
         if backup_len > 0 {
-            census.push(backup.census_region(0..backup_len));
+            census.push(CensusRegion::new(0..backup_len));
         }
         ProbeCore {
             main,
@@ -957,17 +855,9 @@ mod tests {
         core_with_layout(n, SlotLayout::WordPerSlot)
     }
 
-    /// Every representation, including hybrid splits at both edges and in
-    /// the middle of a word (the split is clamped to the main length, so the
-    /// same list works for any `n`).
-    fn layouts() -> [SlotLayout; 5] {
-        [
-            SlotLayout::WordPerSlot,
-            SlotLayout::Packed,
-            SlotLayout::Hybrid { packed_from: 0 },
-            SlotLayout::Hybrid { packed_from: 5 },
-            SlotLayout::Hybrid { packed_from: 96 },
-        ]
+    /// Every representation.
+    fn layouts() -> [SlotLayout; 2] {
+        [SlotLayout::WordPerSlot, SlotLayout::Packed]
     }
 
     #[test]
@@ -1077,20 +967,16 @@ mod tests {
         // different layouts driven by the same seed must agree step for step.
         let word = core_with_layout(16, SlotLayout::WordPerSlot);
         let packed = core_with_layout(16, SlotLayout::Packed);
-        let hybrid = core_with_layout(16, SlotLayout::Hybrid { packed_from: 24 });
         let mut rng_w = default_rng(42);
         let mut rng_p = default_rng(42);
-        let mut rng_h = default_rng(42);
         let mut acquired = 0usize;
         // A try_get may legitimately miss (None) once the backup is full and
-        // every random probe lands on a held slot; all layouts must miss and
+        // every random probe lands on a held slot; both layouts must miss and
         // win in lockstep.
         for step in 0..10_000 {
             let a = word.try_get(&mut rng_w);
             let b = packed.try_get(&mut rng_p);
-            let c = hybrid.try_get(&mut rng_h);
             assert_eq!(a, b, "packed diverged at step {step}");
-            assert_eq!(a, c, "hybrid diverged at step {step}");
             if a.is_some() {
                 acquired += 1;
             }
@@ -1101,7 +987,6 @@ mod tests {
         assert_eq!(acquired, word.capacity());
         assert!(word.try_get(&mut rng_w).is_none());
         assert!(packed.try_get(&mut rng_p).is_none());
-        assert!(hybrid.try_get(&mut rng_h).is_none());
     }
 
     #[test]
@@ -1138,8 +1023,7 @@ mod tests {
         }
     }
 
-    /// The census table must agree with a straight recount for every layout,
-    /// including hybrid splits that land inside a batch.
+    /// The census table must agree with a straight recount for every layout.
     #[test]
     fn census_table_matches_direct_recount() {
         for layout in layouts() {
@@ -1169,49 +1053,42 @@ mod tests {
     /// a `LevelArray::new(256)` main array plus backup).  Each slab gets a
     /// random occupancy and is read through `collect_all_into` with a
     /// non-zero name base and through `for_each_held` over random
-    /// sub-ranges — both as a word-per-slot slab and as a hybrid slab whose
-    /// word head (of random length) runs the same kernel.
+    /// sub-ranges.
     #[test]
     fn word_scan_kernel_matches_a_per_slot_loop() {
         let mut rng = default_rng(0x5CA7);
         let sub_ranges = if cfg!(miri) { 2 } else { 12 };
         for len in (0..=130).chain([192, 768]) {
-            let split = rng.gen_index(len + 1);
-            for layout in [
-                SlotLayout::WordPerSlot,
-                SlotLayout::Hybrid { packed_from: split },
-            ] {
-                let slab = SlotSlab::new(len, layout);
-                let density = rng.gen_unit_f64();
-                for idx in 0..len {
-                    if rng.gen_bool(density) {
-                        assert!(slab.try_acquire(idx, TasKind::default()));
-                    }
+            let slab = SlotSlab::new(len, SlotLayout::WordPerSlot);
+            let density = rng.gen_unit_f64();
+            for idx in 0..len {
+                if rng.gen_bool(density) {
+                    assert!(slab.try_acquire(idx, TasKind::default()));
                 }
-                let oracle = |range: Range<usize>| -> Vec<usize> {
-                    range.filter(|&idx| slab.is_held(idx)).collect()
-                };
-                let name_base = 1000 + len;
-                let mut names = vec![Name::new(7)];
-                slab.collect_all_into(name_base, &mut names);
-                let expected: Vec<Name> = std::iter::once(Name::new(7))
-                    .chain(oracle(0..len).into_iter().map(|i| Name::new(name_base + i)))
-                    .collect();
-                assert_eq!(names, expected, "collect, len {len}, {layout:?}");
-                let sub = (0..sub_ranges).map(|_| {
-                    let (a, b) = (rng.gen_index(len + 1), rng.gen_index(len + 1));
-                    a.min(b)..a.max(b)
-                });
-                let ranges: Vec<Range<usize>> = std::iter::once(0..len).chain(sub).collect();
-                for range in ranges {
-                    let mut seen = Vec::new();
-                    slab.for_each_held(range.clone(), |idx| seen.push(idx));
-                    assert_eq!(
-                        seen,
-                        oracle(range.clone()),
-                        "for_each_held({range:?}), len {len}, {layout:?}"
-                    );
-                }
+            }
+            let oracle = |range: Range<usize>| -> Vec<usize> {
+                range.filter(|&idx| slab.is_held(idx)).collect()
+            };
+            let name_base = 1000 + len;
+            let mut names = vec![Name::new(7)];
+            slab.collect_all_into(name_base, &mut names);
+            let expected: Vec<Name> = std::iter::once(Name::new(7))
+                .chain(oracle(0..len).into_iter().map(|i| Name::new(name_base + i)))
+                .collect();
+            assert_eq!(names, expected, "collect, len {len}");
+            let sub = (0..sub_ranges).map(|_| {
+                let (a, b) = (rng.gen_index(len + 1), rng.gen_index(len + 1));
+                a.min(b)..a.max(b)
+            });
+            let ranges: Vec<Range<usize>> = std::iter::once(0..len).chain(sub).collect();
+            for range in ranges {
+                let mut seen = Vec::new();
+                slab.for_each_held(range.clone(), |idx| seen.push(idx));
+                assert_eq!(
+                    seen,
+                    oracle(range.clone()),
+                    "for_each_held({range:?}), len {len}"
+                );
             }
         }
     }
@@ -1327,22 +1204,18 @@ mod tests {
     fn get_many_layouts_stay_in_lockstep() {
         // Batched probing decisions, like singleton ones, depend only on the
         // RNG stream and held/free state — the claim window is defined in
-        // slab index space precisely so all layouts claim identical slots.
+        // slab index space precisely so both layouts claim identical slots.
         let word = core_with_layout(16, SlotLayout::WordPerSlot);
         let packed = core_with_layout(16, SlotLayout::Packed);
-        let hybrid = core_with_layout(16, SlotLayout::Hybrid { packed_from: 24 });
         let mut rng_w = default_rng(33);
         let mut rng_p = default_rng(33);
-        let mut rng_h = default_rng(33);
         for step in 0..200 {
             let k = 1 + step % 9;
-            let (mut ow, mut op, mut oh) = (Vec::new(), Vec::new(), Vec::new());
-            let (mut pw, mut pp, mut ph) = (0u32, 0u32, 0u32);
+            let (mut ow, mut op) = (Vec::new(), Vec::new());
+            let (mut pw, mut pp) = (0u32, 0u32);
             let a = word.try_get_many(&mut rng_w, k, &mut pw, &mut ow);
             let b = packed.try_get_many(&mut rng_p, k, &mut pp, &mut op);
-            let c = hybrid.try_get_many(&mut rng_h, k, &mut ph, &mut oh);
             assert_eq!((a, &ow, pw), (b, &op, pp), "packed diverged at step {step}");
-            assert_eq!((a, &ow, pw), (c, &oh, ph), "hybrid diverged at step {step}");
             // Free a deterministic half so the state keeps churning.
             let victims: Vec<Name> = ow
                 .iter()
@@ -1353,7 +1226,6 @@ mod tests {
                 .collect();
             word.free_many(&victims);
             packed.free_many(&victims);
-            hybrid.free_many(&victims);
             let keep: Vec<Name> = ow
                 .iter()
                 .map(|g| g.name())
@@ -1363,7 +1235,6 @@ mod tests {
                 .collect();
             word.free_many(&keep);
             packed.free_many(&keep);
-            hybrid.free_many(&keep);
         }
     }
 

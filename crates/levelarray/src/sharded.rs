@@ -19,6 +19,11 @@
 //! as `shard * shard_capacity + local`, so uniqueness, `free`, `collect` and
 //! `occupancy` all keep the paper's semantics over the union of the shards.
 //!
+//! The shards, the routing walks, the dense-name split and the aggregated
+//! census are a `ShardGroup` — the same type that backs the hierarchical
+//! epochs of [`crate::ElasticLevelArray`]; this facade adds the home-token
+//! pool, the Free→Get hint and the contention bound.
+//!
 //! The per-shard contention bound is `⌈n / S⌉`, so the total backup capacity
 //! `S · ⌈n / S⌉ ≥ n` preserves the wait-freedom argument: at most `n − 1`
 //! other processes hold slots while a `Get` runs, so the steal walk always
@@ -29,21 +34,14 @@ use std::sync::Arc;
 use larng::RandomSource;
 
 use crate::array::{Acquired, ActivityArray};
+use crate::backend::ShardGroup;
 use crate::config::{ConfigError, LevelArrayConfig};
 use crate::geometry::BatchGeometry;
 use crate::name::Name;
-use crate::occupancy::{OccupancySnapshot, Region, RegionOccupancy};
+use crate::occupancy::{OccupancySnapshot, Region};
 use crate::probe_core::ProbeCore;
 use crate::slot::SlotLayout;
 use crate::topology::{HomePool, Topology};
-
-/// One shard, padded to two cache lines so that the hot atomic traffic of
-/// neighbouring shards' slots never shares a line with this shard's metadata.
-/// (The slots *within* a shard are deliberately unpadded, exactly like the
-/// plain LevelArray — see [`crate::slot::Slot`].)
-#[derive(Debug)]
-#[repr(align(128))]
-struct PaddedCore(ProbeCore);
 
 /// A LevelArray partitioned into `S` cache-padded shards with work stealing.
 ///
@@ -91,12 +89,8 @@ struct PaddedCore(ProbeCore);
 /// ```
 #[derive(Debug)]
 pub struct ShardedLevelArray {
-    shards: Box<[PaddedCore]>,
-    /// Capacity (main + backup) of every shard; the stride of the global
-    /// name mapping.
-    shard_capacity: usize,
-    /// The per-shard contention bound `⌈n / S⌉` the shards were sized for.
-    shard_contention: usize,
+    /// The shards, their routing walks and the dense global namespace.
+    group: ShardGroup,
     max_concurrency: usize,
     /// Process-unique identity for the sticky-token cache and the Free→Get
     /// hint cache (see [`crate::hint`]); a thread's cached token or hint is
@@ -154,31 +148,9 @@ impl ShardedLevelArray {
         shards: usize,
         topology: Topology,
     ) -> Result<Self, ConfigError> {
-        if shards == 0 {
-            return Err(ConfigError::ZeroShards);
-        }
-        let n = config.max_concurrency_value();
-        if n == 0 {
-            return Err(ConfigError::ZeroConcurrency);
-        }
-        let shard_contention = n.div_ceil(shards);
-        let mut per_shard = config.clone().with_contention(shard_contention);
-        // A hybrid split was chosen against the *full* main array; divide it
-        // across the shards so the word-per-slot head keeps the same share
-        // of each (smaller) per-shard main array.
-        if let SlotLayout::Hybrid { packed_from } = per_shard.slot_layout_value() {
-            let split = packed_from.div_ceil(shards).min(per_shard.main_len());
-            per_shard = per_shard.slot_layout(SlotLayout::Hybrid { packed_from: split });
-        }
-        let cores: Vec<PaddedCore> = (0..shards)
-            .map(|_| Ok(PaddedCore(per_shard.validate()?.into_probe_core())))
-            .collect::<Result<_, ConfigError>>()?;
-        let shard_capacity = cores[0].0.capacity();
         Ok(ShardedLevelArray {
-            shards: cores.into_boxed_slice(),
-            shard_capacity,
-            shard_contention,
-            max_concurrency: n,
+            group: ShardGroup::build(config, shards)?,
+            max_concurrency: config.max_concurrency_value(),
             array_id: crate::hint::next_array_id(),
             free_hint: config.free_hint_enabled(),
             home_pool: Arc::new(HomePool::new(topology)),
@@ -201,7 +173,7 @@ impl ShardedLevelArray {
     /// threads inherit their predecessors' homes instead of marching a
     /// round-robin cursor forward and skewing the long-run placement.
     pub fn home_shard(&self) -> usize {
-        crate::topology::home_shard(self.array_id, &self.home_pool, self.shards.len())
+        crate::topology::home_shard(self.array_id, &self.home_pool, self.group.num_shards())
     }
 
     /// The topology the home pool routes through.
@@ -220,37 +192,37 @@ impl ShardedLevelArray {
     /// Panics if `shard >= num_shards()`.
     pub fn pin_home(&self, shard: usize) {
         assert!(
-            shard < self.shards.len(),
+            shard < self.group.num_shards(),
             "cannot pin home shard {shard}: the array has {} shards",
-            self.shards.len()
+            self.group.num_shards()
         );
         crate::topology::pin_home(self.array_id, shard);
     }
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.group.num_shards()
     }
 
     /// Capacity (main + backup slots) of each shard — the stride between
     /// consecutive shards in the global namespace.
     pub fn shard_capacity(&self) -> usize {
-        self.shard_capacity
+        self.group.shard_capacity()
     }
 
     /// The contention bound each shard was sized for: `⌈n / S⌉`.
     pub fn shard_contention(&self) -> usize {
-        self.shard_contention
+        self.max_concurrency.div_ceil(self.group.num_shards())
     }
 
     /// The batch layout shared by every shard's main array.
     pub fn shard_geometry(&self) -> &BatchGeometry {
-        self.shards[0].0.geometry()
+        self.group.geometry()
     }
 
     /// The slot representation shared by every shard.
     pub fn slot_layout(&self) -> SlotLayout {
-        self.shards[0].0.slot_layout()
+        self.group.core(0).slot_layout()
     }
 
     /// The sharded `Get`, monomorphized over the caller's random source (see
@@ -263,32 +235,12 @@ impl ShardedLevelArray {
     pub fn try_get<R: RandomSource + ?Sized>(&self, rng: &mut R) -> Option<Acquired> {
         if self.free_hint {
             if let Some(hinted) = crate::hint::take(self.array_id) {
-                if let Some(got) = self.hint_acquire(hinted) {
+                if let Some(got) = self.group.hint_acquire(hinted) {
                     return Some(got);
                 }
             }
         }
-        let num_shards = self.shards.len();
-        let home = self.home_shard();
-        let mut probes = 0u32;
-        for hop in 0..num_shards {
-            let shard = (home + hop) % num_shards;
-            let core = &self.shards[shard].0;
-            match core.try_get(rng) {
-                Some(local) => {
-                    let name = self.global_name(shard, local.name());
-                    return Some(Acquired::new(
-                        name,
-                        probes + local.probes(),
-                        local.batch(),
-                        local.used_backup(),
-                    ));
-                }
-                // A failed shard performs its full deterministic budget.
-                None => probes += core.exhausted_probe_count(),
-            }
-        }
-        None
+        self.group.try_get(rng, self.home_shard())
     }
 
     /// The batched sharded `Get`, monomorphized over the caller's random
@@ -336,35 +288,17 @@ impl ShardedLevelArray {
         let mut acquired = 0usize;
         if self.free_hint {
             if let Some(hinted) = crate::hint::take(self.array_id) {
-                if let Some(got) = self.hint_acquire(hinted) {
+                if let Some(got) = self.group.hint_acquire(hinted) {
                     out.push(got);
                     acquired = 1;
                 }
             }
         }
-        let num_shards = self.shards.len();
-        let home = self.home_shard();
         let mut probes = 0u32;
-        for hop in 0..num_shards {
-            if acquired == k {
-                break;
-            }
-            let shard = (home + hop) % num_shards;
-            let before = out.len();
-            let won = self.shards[shard]
-                .0
-                .try_get_many(rng, k - acquired, &mut probes, out);
-            for got in &mut out[before..] {
-                *got = Acquired::new(
-                    self.global_name(shard, got.name()),
-                    got.probes(),
-                    got.batch(),
-                    got.used_backup(),
-                );
-            }
-            acquired += won;
-        }
         acquired
+            + self
+                .group
+                .try_get_many(rng, self.home_shard(), k - acquired, &mut probes, out)
     }
 
     /// Registers through the monomorphized hot path, panicking if every
@@ -390,30 +324,16 @@ impl ShardedLevelArray {
     ///
     /// Panics if `shard >= num_shards()`.
     pub fn shard_core(&self, shard: usize) -> &ProbeCore {
-        &self.shards[shard].0
+        self.group.core(shard)
     }
 
     /// The shard that owns the global `name`.
     ///
     /// # Panics
     ///
-    /// Panics if `name` is out of range.
+    /// Panics if `name` is epoch-tagged or out of range.
     pub fn shard_of(&self, name: Name) -> usize {
-        // Global sharded names are dense epoch-0 encodings; reject tagged
-        // names rather than alias them onto `index() mod capacity`.
-        assert_eq!(
-            name.epoch(),
-            0,
-            "a sharded array hands out only epoch-0 names, got {name}"
-        );
-        let shard = name.index() / self.shard_capacity;
-        assert!(
-            shard < self.shards.len(),
-            "name {} out of range for a sharded array with capacity {}",
-            name.index(),
-            self.capacity()
-        );
-        shard
+        self.group.split(name).0
     }
 
     /// Translates a shard-local slot index into the global namespace.
@@ -423,42 +343,14 @@ impl ShardedLevelArray {
     /// Panics if `shard` is out of range or `local` exceeds the shard
     /// capacity.
     pub fn global_name(&self, shard: usize, local: Name) -> Name {
-        assert!(shard < self.shards.len(), "shard {shard} out of range");
+        assert!(shard < self.num_shards(), "shard {shard} out of range");
         assert!(
-            local.index() < self.shard_capacity,
+            local.index() < self.shard_capacity(),
             "local name {} exceeds the shard capacity {}",
             local.index(),
-            self.shard_capacity
+            self.shard_capacity()
         );
-        Name::new(shard * self.shard_capacity + local.index())
-    }
-
-    fn split(&self, name: Name) -> (usize, Name) {
-        let shard = self.shard_of(name);
-        (shard, Name::new(name.index() % self.shard_capacity))
-    }
-
-    /// Retries the hinted global slot with one test-and-set, remapping the
-    /// shard-local win back into the global namespace.  Stale hints (wrong
-    /// epoch, out of range) are rejected without panicking — the caller falls
-    /// through to the probe path.  The hint attempt is not counted as a
-    /// probe, matching [`ProbeCore::hint_acquire`].
-    fn hint_acquire(&self, hinted: Name) -> Option<Acquired> {
-        if hinted.epoch() != 0 {
-            return None;
-        }
-        let shard = hinted.index() / self.shard_capacity;
-        if shard >= self.shards.len() {
-            return None;
-        }
-        let local = Name::new(hinted.index() % self.shard_capacity);
-        let got = self.shards[shard].0.hint_acquire(local)?;
-        Some(Acquired::new(
-            self.global_name(shard, got.name()),
-            got.probes(),
-            got.batch(),
-            got.used_backup(),
-        ))
+        Name::new(shard * self.shard_capacity() + local.index())
     }
 
     /// Whether `free` arms the per-thread Free→Get hint cache.
@@ -475,8 +367,8 @@ impl ShardedLevelArray {
     /// Panics if `name` is out of range.
     #[must_use = "a false return means the slot was already held; ignoring it leaks the intent"]
     pub fn force_occupy(&self, name: Name) -> bool {
-        let (shard, local) = self.split(name);
-        self.shards[shard].0.force_occupy(local)
+        let (core, local) = self.group.locate(name);
+        core.force_occupy(local)
     }
 
     /// Reads whether a specific global slot is currently held.
@@ -485,14 +377,14 @@ impl ShardedLevelArray {
     ///
     /// Panics if `name` is out of range.
     pub fn is_held(&self, name: Name) -> bool {
-        let (shard, local) = self.split(name);
-        self.shards[shard].0.is_held(local)
+        let (core, local) = self.group.locate(name);
+        core.is_held(local)
     }
 
     /// Whether the global `name` lies in some shard's backup array.
     pub fn is_backup_name(&self, name: Name) -> bool {
-        let (shard, local) = self.split(name);
-        self.shards[shard].0.is_backup_name(local)
+        let (core, local) = self.group.locate(name);
+        core.is_backup_name(local)
     }
 
     /// The batch-aggregated census: per-batch totals summed *across* shards
@@ -502,24 +394,7 @@ impl ShardedLevelArray {
     /// sharded layout unchanged.  [`ActivityArray::occupancy`] reports the
     /// finer per-shard census instead.
     pub fn batchwise_occupancy(&self) -> OccupancySnapshot {
-        let geometry = self.shard_geometry();
-        let mut regions: Vec<RegionOccupancy> = (0..geometry.num_batches())
-            .map(|batch| {
-                let capacity = geometry.batch_len(batch) * self.shards.len();
-                let occupied = self.shards.iter().map(|s| s.0.batch_occupancy(batch)).sum();
-                RegionOccupancy::new(Region::Batch(batch), capacity, occupied)
-            })
-            .collect();
-        let backup_capacity: usize = self.shards.iter().map(|s| s.0.backup_len()).sum();
-        if backup_capacity > 0 {
-            let occupied = self.shards.iter().map(|s| s.0.backup_occupancy()).sum();
-            regions.push(RegionOccupancy::new(
-                Region::Backup,
-                backup_capacity,
-                occupied,
-            ));
-        }
-        OccupancySnapshot::new(regions)
+        OccupancySnapshot::new(self.group.region_occupancies(|region| region))
     }
 }
 
@@ -537,33 +412,15 @@ impl ActivityArray for ShardedLevelArray {
     }
 
     fn free(&self, name: Name) {
-        let (shard, local) = self.split(name);
-        self.shards[shard].0.free(local);
+        let (core, local) = self.group.locate(name);
+        core.free(local);
         if self.free_hint {
             crate::hint::record(self.array_id, name);
         }
     }
 
     fn free_many(&self, names: &[Name]) {
-        if names.is_empty() {
-            return;
-        }
-        // Sort once, split into contiguous per-shard runs, and release each
-        // run through the owning core's bulk kernel.
-        let mut sorted = names.to_vec();
-        sorted.sort_unstable();
-        let mut start = 0;
-        while start < sorted.len() {
-            let shard = self.shard_of(sorted[start]);
-            let base = shard * self.shard_capacity;
-            let limit = base + self.shard_capacity;
-            let end = sorted.partition_point(|n| n.epoch() == 0 && n.index() < limit);
-            for name in &mut sorted[start..end] {
-                *name = Name::new(name.index() - base);
-            }
-            self.shards[shard].0.free_many(&sorted[start..end]);
-            start = end;
-        }
+        self.group.free_many(names);
         // Refill the Free→Get hint with the last name of the batch, exactly
         // as the final free of a singleton loop would.
         if self.free_hint {
@@ -574,7 +431,7 @@ impl ActivityArray for ShardedLevelArray {
     }
 
     fn route_hint(&self, participant: usize) {
-        self.pin_home(participant % self.shards.len());
+        self.pin_home(participant % self.num_shards());
     }
 
     fn collect(&self) -> Vec<Name> {
@@ -584,13 +441,11 @@ impl ActivityArray for ShardedLevelArray {
     }
 
     fn collect_into(&self, out: &mut Vec<Name>) {
-        for (shard, core) in self.shards.iter().enumerate() {
-            core.0.collect_into(shard * self.shard_capacity, out);
-        }
+        self.group.collect_into(out);
     }
 
     fn capacity(&self) -> usize {
-        self.shard_capacity * self.shards.len()
+        self.group.capacity()
     }
 
     fn max_participants(&self) -> usize {
@@ -599,8 +454,8 @@ impl ActivityArray for ShardedLevelArray {
 
     fn occupancy(&self) -> OccupancySnapshot {
         let mut regions = Vec::new();
-        for (shard, core) in self.shards.iter().enumerate() {
-            regions.extend(core.0.region_occupancies(|region| match region {
+        for (shard, core) in self.group.cores().enumerate() {
+            regions.extend(core.region_occupancies(|region| match region {
                 Region::Batch(batch) => Region::ShardBatch { shard, batch },
                 Region::Backup => Region::ShardBackup(shard),
                 other => other,
@@ -613,6 +468,7 @@ impl ActivityArray for ShardedLevelArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::PaddedCore;
     use crate::config::LevelArrayConfig;
     use larng::{default_rng, SequenceRng};
     use std::collections::HashSet;
@@ -943,6 +799,31 @@ mod tests {
     fn free_of_epoch_tagged_name_panics() {
         let array = ShardedLevelArray::new(8, 2);
         array.free(Name::with_epoch(1, 0));
+    }
+
+    /// Frees `[held, bad]` in one batch and asserts that the batch panics
+    /// without releasing `held`: every name is checked before any is freed.
+    fn assert_bad_batch_releases_nothing(bad: fn(&ShardedLevelArray) -> Name) {
+        let array = ShardedLevelArray::new(8, 2);
+        let held = array.get(&mut default_rng(12)).name();
+        let batch = [held, bad(&array)];
+        let result = std::panic::catch_unwind(|| array.free_many(&batch));
+        assert!(result.is_err(), "the bad name must panic");
+        assert!(
+            array.is_held(held),
+            "the batch released {held} before it panicked"
+        );
+        assert_eq!(array.collect(), vec![held]);
+    }
+
+    #[test]
+    fn free_many_with_an_out_of_range_name_releases_nothing() {
+        assert_bad_batch_releases_nothing(|array| Name::new(array.capacity() + 5));
+    }
+
+    #[test]
+    fn free_many_with_an_epoch_tagged_name_releases_nothing() {
+        assert_bad_batch_releases_nothing(|_| Name::with_epoch(1, 0));
     }
 
     #[test]

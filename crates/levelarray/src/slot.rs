@@ -36,11 +36,6 @@ use la_sync::atomic::{AtomicU32, Ordering};
 ///   bits with `trailing_zeros`, touching 1/32 of the memory; in exchange,
 ///   512 slots share each cache line, so the randomized probing spreads
 ///   writers over fewer lines.
-/// * [`SlotLayout::Hybrid`] — word-per-slot for the main array's contended
-///   head (where `Get` CAS storms land), bit-packed for its tail and the
-///   whole backup region (where scans dominate).  The crossover index is the
-///   knob; [`crate::LevelArrayConfig::hybrid_layout`] picks the boundary of
-///   batch 0, the spot the layout-ablation sweep justifies as the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SlotLayout {
     /// One `AtomicU32` word per slot (the seed representation).
@@ -48,33 +43,6 @@ pub enum SlotLayout {
     WordPerSlot,
     /// One bit per slot, 64 slots per `AtomicU64` word.
     Packed,
-    /// Word-per-slot head, bit-packed tail: main-array slots below
-    /// `packed_from` are `AtomicU32` [`Slot`]s, slots at or above it — and
-    /// the entire backup region — are packed 64-per-word.
-    ///
-    /// `packed_from` is an index into the *main* array and must not exceed
-    /// its length; [`crate::LevelArrayConfig::validate`] rejects
-    /// out-of-range values with
-    /// [`crate::ConfigError::HybridSplitOutOfRange`].  `packed_from == 0`
-    /// degenerates to [`SlotLayout::Packed`]; `packed_from == main_len`
-    /// keeps the whole main array word-per-slot and packs only the backup.
-    Hybrid {
-        /// First main-array index stored in the bit-packed tail.
-        packed_from: usize,
-    },
-}
-
-impl SlotLayout {
-    /// Builds a [`SlotLayout::Hybrid`] with the given crossover index.
-    ///
-    /// Equivalent to writing the variant literally; exists so call sites can
-    /// construct the layout without naming the field.  The value is validated
-    /// against the main-array length by
-    /// [`crate::LevelArrayConfig::validate`], not here.
-    #[must_use]
-    pub const fn hybrid(packed_from: usize) -> Self {
-        SlotLayout::Hybrid { packed_from }
-    }
 }
 
 /// Which hardware primitive `Get` uses to win a slot.

@@ -8,13 +8,13 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::{Arc, Barrier, Mutex};
 
-/// Decodes a proptest draw into one of the three slot layouts (same axis as
-/// the `properties` suite): word-per-slot, packed, and every hybrid split.
-fn layout_axis(draw: u16, main_len: usize) -> SlotLayout {
-    match draw % 3 {
-        0 => SlotLayout::WordPerSlot,
-        1 => SlotLayout::Packed,
-        _ => SlotLayout::hybrid((draw as usize / 3) % (main_len + 1)),
+/// Decodes a proptest draw into one of the two slot layouts (same axis as
+/// the `properties` suite).
+fn layout_axis(draw: u16) -> SlotLayout {
+    if draw % 2 == 0 {
+        SlotLayout::WordPerSlot
+    } else {
+        SlotLayout::Packed
     }
 }
 
@@ -82,7 +82,7 @@ proptest! {
         ops in proptest::collection::vec(any::<u16>(), 1..200),
     ) {
         let array = LevelArrayConfig::new(n)
-            .slot_layout(layout_axis(layout, 2 * n))
+            .slot_layout(layout_axis(layout))
             .build()
             .unwrap();
         drive_batched_schedule(&array, seed, n, &ops)?;
@@ -99,7 +99,7 @@ proptest! {
         ops in proptest::collection::vec(any::<u16>(), 1..150),
     ) {
         let array = LevelArrayConfig::new(n)
-            .slot_layout(layout_axis(layout, 2 * n))
+            .slot_layout(layout_axis(layout))
             .build_sharded(shards)
             .unwrap();
         drive_batched_schedule(&array, seed, n, &ops)?;
@@ -116,7 +116,7 @@ proptest! {
         ops in proptest::collection::vec(any::<u16>(), 1..120),
     ) {
         let array = LevelArrayConfig::new(n)
-            .slot_layout(layout_axis(layout, 2 * n))
+            .slot_layout(layout_axis(layout))
             .growth(GrowthPolicy::Doubling { max_epochs: 4 })
             .build_elastic()
             .unwrap();

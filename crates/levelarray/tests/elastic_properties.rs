@@ -16,14 +16,12 @@ fn cases(n: u32) -> ProptestConfig {
     ProptestConfig::with_cases(if cfg!(miri) { 2 } else { n })
 }
 
-/// Decodes a proptest draw into one of the three slot layouts; hybrid splits
-/// are chosen against the initial epoch's main array (doubled epochs keep
-/// the same split, so their word-per-slot head shrinks proportionally).
-fn layout_axis(draw: u16, main_len: usize) -> SlotLayout {
-    match draw % 3 {
-        0 => SlotLayout::WordPerSlot,
-        1 => SlotLayout::Packed,
-        _ => SlotLayout::hybrid((draw as usize / 3) % (main_len + 1)),
+/// Decodes a proptest draw into one of the two slot layouts.
+fn layout_axis(draw: u16) -> SlotLayout {
+    if draw % 2 == 0 {
+        SlotLayout::WordPerSlot
+    } else {
+        SlotLayout::Packed
     }
 }
 
@@ -32,8 +30,7 @@ proptest! {
 
     /// Acquiring far beyond the initial bound grows the chain, every name is
     /// a fresh (epoch, index) pair, frees route back by tag, and draining
-    /// retires everything but the newest epoch — under all three slot
-    /// layouts.
+    /// retires everything but the newest epoch — under both slot layouts.
     #[test]
     fn growth_hands_out_unique_epoch_tagged_names(
         n in 1usize..8,
@@ -45,7 +42,7 @@ proptest! {
         let array = LevelArrayConfig::new(n)
             .growth(GrowthPolicy::Doubling { max_epochs })
             .pin_stripes(pin_stripes)
-            .slot_layout(layout_axis(layout, 2 * n))
+            .slot_layout(layout_axis(layout))
             .build_elastic()
             .unwrap();
         // Per-epoch capacity for the default config is 3 * bound, so the
