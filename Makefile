@@ -2,9 +2,16 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt clippy build test doc bench-check bench-smoke bench-json bench-diff bench-layout bench-topology bench-batch perfbench perf-ab examples miri loom loom-mutant fault fault-storm
+.PHONY: ci ci-lint fmt clippy build test doc bench-check bench-smoke bench-json bench-diff bench-layout bench-topology bench-batch perfbench perf-ab examples miri loom loom-mutant fault fault-storm
 
-ci: fmt clippy build test doc bench-check
+ci: ci-lint fmt clippy build test doc bench-check
+
+# Every workflow file must load as YAML: a plain scalar that contains ": "
+# or ends in ":" (a `run:` line ending in `module::`, say) is a parse
+# error that GitHub reports only as a broken workflow.
+ci-lint:
+	python3 -c 'import sys, yaml; [yaml.safe_load(open(f)) for f in sys.argv[1:]]' \
+		$(wildcard .github/workflows/*)
 
 fmt:
 	$(CARGO) fmt --check

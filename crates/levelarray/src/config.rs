@@ -329,9 +329,12 @@ impl LevelArrayConfig {
     /// epoch (half the bound, never below the initial one) and retires the
     /// large epoch through the same seal→grace→census→unlink protocol that
     /// retires drained predecessors after growth — run in reverse: the big
-    /// cell drains while the small successor serves.  Disabled by default;
-    /// only meaningful under [`GrowthPolicy::Doubling`].  Only
-    /// [`LevelArrayConfig::build_elastic`] consults it.
+    /// cell drains while the small successor serves.  The stretch doubles
+    /// each time a grow undoes a shrink, so a recurring burst keeps its
+    /// epoch (see the `elastic` module's *Elastic shrink* section).
+    /// Disabled by default; only meaningful under
+    /// [`GrowthPolicy::Doubling`].  Only [`LevelArrayConfig::build_elastic`]
+    /// consults it.
     #[must_use = "builder methods return the updated configuration"]
     pub fn shrink_watermark(mut self, watermark: f64) -> Self {
         self.shrink_watermark = Some(watermark);

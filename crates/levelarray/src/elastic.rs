@@ -22,8 +22,12 @@
 //!   per-epoch [`Region::EpochBatch`]/[`Region::EpochBackup`] entries.
 //! * **A drained old epoch is retired** once a collect snapshot proves no
 //!   name from it is live ([`ElasticLevelArray::try_retire`]); epoch tags
-//!   are never reused, so names stay unique across arbitrarily many growth
-//!   and retirement events.
+//!   are never reused, so names stay unique across growth and retirement.
+//!   The price is a finite lifetime: the tag is 10 bits wide, so after
+//!   1024 published epochs (grows and shrinks together) no successor can
+//!   open — `publish_epoch` returns `None`, the chain stays at its last
+//!   bound, and a `Get` past that bound fails.  Recycling retired tags is
+//!   the ROADMAP's tag-recycling item.
 //!
 //! # The lock-free chain
 //!
@@ -101,14 +105,26 @@
 //! holder frees, returning the memory the growth burst borrowed.  `Get`,
 //! `Free` and `Collect` never block on a shrink any more than on a grow —
 //! both are one CAS on the chain head.
+//!
+//! The patience window backs off when shrinking proves premature.  A
+//! published grow restarts the low streak; a grow that undoes a shrink
+//! doubles the window's multiplier, and a shrink that follows a shrink
+//! halves it again (the multiplier stays within 1..=2¹⁰, like the stuck-pin
+//! watchdog's exponent).  The first shrink after sustained low load waits
+//! the plain `max(C, 16)` frees, but a burst that keeps coming back stops
+//! the chain from publishing a grow/shrink pair per burst: the big epoch
+//! stays, and so does its tag budget.
 
 use la_fault::fail_point;
 use la_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-// Watchdog bookkeeping (backoff deadlines, deferred-work counters) uses
-// plain std atomics: it is advisory diagnostics, never part of the
-// retirement safety argument, and must stay invisible to the loom model.
-use std::sync::atomic::{AtomicU32 as StdAtomicU32, AtomicU64 as StdAtomicU64};
+// Watchdog and shrink-backoff bookkeeping (backoff deadlines and
+// exponents, deferred-work counters) uses plain std atomics: it is
+// advisory, never part of the retirement safety argument, and must stay
+// invisible to the loom model.
+use std::sync::atomic::{
+    AtomicBool as StdAtomicBool, AtomicU32 as StdAtomicU32, AtomicU64 as StdAtomicU64,
+};
 
 use larng::RandomSource;
 
@@ -343,6 +359,15 @@ pub struct ElasticLevelArray {
     /// the patience window opens a smaller epoch (see
     /// [`ElasticLevelArray::try_shrink`]).
     low_streak: Padded<AtomicUsize>,
+    /// Exponent of the patience window's multiplier (see
+    /// [`ElasticLevelArray::shrink_patience`]): a grow published after a
+    /// shrink raises it, a shrink published after a shrink lowers it, and
+    /// it stays within `0..=`[`MAX_SHRINK_BACKOFF_EXP`].  Advisory, like the
+    /// streak — a racing publisher can lose an update, which only shifts
+    /// one later window.
+    shrink_backoff: StdAtomicU32,
+    /// Whether the last epoch this array published was a shrink.
+    shrunk_last: StdAtomicBool,
     /// The shrink-sampling cadence: frees seen per pin stripe (see
     /// [`ElasticLevelArray::note_shrink_sample`]).
     shrink_ticks: Box<[Padded<AtomicUsize>]>,
@@ -365,6 +390,12 @@ pub struct ElasticLevelArray {
 /// never deferred more than ~1 second at a time, so a pin that finally
 /// drops is noticed promptly no matter how long it was stuck.
 const MAX_BACKOFF_MS: u64 = 1024;
+
+/// Cap on the shrink backoff's exponent: the patience window grows to at
+/// most 2¹⁰ times its base, the same cap as the watchdog's (see
+/// [`MAX_BACKOFF_MS`]), so sustained low load still shrinks the chain in
+/// a bounded number of frees.
+const MAX_SHRINK_BACKOFF_EXP: u32 = 10;
 
 impl ElasticLevelArray {
     /// Creates an elastic array whose initial epoch uses the paper's default
@@ -430,6 +461,8 @@ impl ElasticLevelArray {
             home_pool: Arc::new(HomePool::new(topology)),
             shrink_watermark: config.shrink_watermark_value(),
             low_streak: Padded::default(),
+            shrink_backoff: StdAtomicU32::new(0),
+            shrunk_last: StdAtomicBool::new(false),
             shrink_ticks: stripe_counters(stripes),
             watchdog_threshold_ms: config.stuck_pin_threshold_ms_value(),
             backoff_until: StdAtomicU64::new(0),
@@ -623,11 +656,11 @@ impl ElasticLevelArray {
     /// batched kernel (`CellBackend::try_get_many`), saturation opens a
     /// successor exactly like the singleton path, and at the growth cap the
     /// remainder spills into the older epochs newest-to-oldest.  Every win
-    /// is epoch-tagged and recorded in its cell's held counter, and the
-    /// probe accumulator threads through every cell walked, so the reported
-    /// per-win probe counts are cumulative across the routing — the same
-    /// convention as [`ElasticLevelArray::try_get`]'s exhausted-probe
-    /// carry-over.
+    /// is epoch-tagged, each cell's slice is added to that cell's held
+    /// counter in one update, and the probe accumulator threads through
+    /// every cell walked, so the reported per-win probe counts are
+    /// cumulative across the routing — the same convention as
+    /// [`ElasticLevelArray::try_get`]'s exhausted-probe carry-over.
     ///
     /// Appends up to `k` wins to `out` (which is not cleared) and returns
     /// how many were appended.
@@ -717,13 +750,15 @@ impl ElasticLevelArray {
     }
 
     /// One cell's slice of a batched `Get`: run the cell's batched kernel,
-    /// then epoch-tag each win (the core already threads the shared probe
+    /// epoch-tag each win (the core already threads the shared probe
     /// accumulator through every win's count, so the tag adds no base
-    /// probes).  Unwind-safe: a panic mid-slice — from the kernel (which
-    /// rolls back its own wins) or between tags — frees this cell's wins
-    /// and squares its held counter before resuming, so the caller's `out`
-    /// only ever holds this cell's *fully tagged* acquisitions plus intact
-    /// earlier cells' entries.
+    /// probes), then count the whole slice into the cell's held counter
+    /// with one RMW.  Unwind-safe: a panic mid-slice — from the kernel
+    /// (which rolls back its own wins) or between tags — frees this cell's
+    /// wins before resuming; nothing was held-counted yet, so there is no
+    /// count to undo.  The caller's `out` only ever holds this cell's
+    /// *fully tagged and counted* acquisitions plus intact earlier cells'
+    /// entries.
     fn serve_cell<R: RandomSource + ?Sized>(
         &self,
         cell: &EpochCell,
@@ -734,37 +769,29 @@ impl ElasticLevelArray {
         out: &mut Vec<Acquired>,
     ) -> usize {
         let before = out.len();
-        // Survives the unwind (unlike closure locals): how many wins were
-        // tagged — and held-counted — before the panic.
-        let tagged = std::cell::Cell::new(0usize);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let won = cell
                 .backend
                 .try_get_many(rng, self.home_for(cell), want, probes, out);
             for got in &mut out[before..] {
                 fail_point!("elastic::tag_many");
-                *got = Self::tag(cell, stripe, *got, 0);
-                tagged.set(tagged.get() + 1);
+                *got = Self::tagged(cell, *got, 0);
             }
             won
         }));
         match result {
-            Ok(won) => won,
+            Ok(won) => {
+                if won > 0 {
+                    cell.add_held(stripe, won);
+                }
+                won
+            }
             Err(payload) => {
                 let _quiet = la_fault::suppress();
-                let t = tagged.get();
-                // Tail first: wins the kernel claimed but the tag loop never
-                // reached — epoch-local names, no held accounting yet.
-                for got in out.drain(before + t..) {
-                    cell.backend.free(Name::new(got.name().index()));
-                }
-                // Then the tagged prefix: strip the epoch tag back off and
-                // undo the held increments in one step.
+                // Tagged or not, every entry past `before` is this slice's
+                // win: strip any epoch tag back off and release it.
                 for got in out.drain(before..) {
                     cell.backend.free(Name::new(got.name().index()));
-                }
-                if t > 0 {
-                    cell.sub_held(stripe, t);
                 }
                 std::panic::resume_unwind(payload)
             }
@@ -1140,6 +1167,12 @@ impl ElasticLevelArray {
     /// stripe `stripe`.
     fn tag(cell: &EpochCell, stripe: usize, local: Acquired, base_probes: u32) -> Acquired {
         cell.add_held(stripe, 1);
+        Self::tagged(cell, local, base_probes)
+    }
+
+    /// The tag alone, with no held accounting (a batch counts its slice
+    /// once, see [`ElasticLevelArray::serve_cell`]).
+    fn tagged(cell: &EpochCell, local: Acquired, base_probes: u32) -> Acquired {
         Acquired::new(
             Name::with_epoch(cell.epoch, local.name().index()),
             base_probes + local.probes(),
@@ -1173,7 +1206,36 @@ impl ElasticLevelArray {
         let contention = newest.contention.saturating_mul(2);
         // Published or lost the race: either way a fresh epoch is serving.
         // `None` (tag space exhausted) is the only way growth stops here.
-        self.publish_epoch(pin, observed, contention).is_some()
+        match self.publish_epoch(pin, observed, contention) {
+            Some(true) => {
+                self.note_published(false);
+                true
+            }
+            Some(false) => true,
+            None => false,
+        }
+    }
+
+    /// Feeds a published epoch into the shrink backoff.  A grow restarts
+    /// the low streak (load before the store, as in `note_shrink_sample`:
+    /// the streak is usually zero already).  A grow that undoes a shrink
+    /// raises the patience exponent, doubling the window the next shrink
+    /// waits out (see [`ElasticLevelArray::shrink_patience`]); a shrink
+    /// that follows a shrink means the load really fell, and lowers it.
+    fn note_published(&self, shrink: bool) {
+        use std::sync::atomic::Ordering as StdOrdering;
+        if !shrink && self.low_streak.0.load(Ordering::Relaxed) != 0 {
+            self.low_streak.0.store(0, Ordering::Relaxed);
+        }
+        if self.shrunk_last.swap(shrink, StdOrdering::Relaxed) {
+            let exp = self.shrink_backoff.load(StdOrdering::Relaxed);
+            let exp = if shrink {
+                exp.saturating_sub(1)
+            } else {
+                (exp + 1).min(MAX_SHRINK_BACKOFF_EXP)
+            };
+            self.shrink_backoff.store(exp, StdOrdering::Relaxed);
+        }
     }
 
     /// Builds a successor cell of bound `contention` and attempts to
@@ -1258,7 +1320,11 @@ impl ElasticLevelArray {
             return false;
         }
         let target = (newest.contention / 2).max(initial);
-        self.publish_epoch(&pin, observed, target) == Some(true)
+        let published = self.publish_epoch(&pin, observed, target) == Some(true);
+        if published {
+            self.note_published(true);
+        }
+        published
     }
 
     /// The free-side shrink sampler, run by every free on pin stripe
@@ -1294,7 +1360,10 @@ impl ElasticLevelArray {
                 .0
                 .fetch_add(SHRINK_SAMPLE_STRIDE, Ordering::Relaxed)
                 + SHRINK_SAMPLE_STRIDE;
-            streak >= Self::shrink_patience(newest.contention)
+            let backoff = self
+                .shrink_backoff
+                .load(std::sync::atomic::Ordering::Relaxed);
+            streak >= Self::shrink_patience(newest.contention, backoff)
         } else {
             // Load before the store: under sustained load the streak is
             // already zero, and its cache line stays shared.
@@ -1305,13 +1374,16 @@ impl ElasticLevelArray {
         }
     }
 
-    /// How many consecutive low samples the watermark must see before a
-    /// shrink fires: one per unit of the newest bound, floored at 16 so
-    /// tiny epochs still get hysteresis.  Scaling with the bound means a
-    /// big epoch — the expensive kind to reopen — demands proportionally
-    /// longer evidence of sustained low occupancy.
-    fn shrink_patience(contention: usize) -> usize {
-        contention.max(16)
+    /// How many frees' worth of consecutive low samples the watermark must
+    /// see before a shrink fires: one per unit of the newest bound, floored
+    /// at 16 so tiny epochs still get hysteresis, times the backoff
+    /// multiplier `2^backoff`.  Scaling with the bound means a big epoch —
+    /// the expensive kind to reopen — demands proportionally longer
+    /// evidence of sustained low occupancy; the multiplier (see
+    /// `note_published`) stretches the window each time a shrink was
+    /// undone by the next burst's grow.
+    fn shrink_patience(contention: usize, backoff: u32) -> usize {
+        contention.max(16).saturating_mul(1 << backoff)
     }
 
     /// The batch-aggregated census: batch `i` of every live epoch folded into

@@ -8,11 +8,11 @@
 //! epochs (observable via per-epoch occupancy reaching zero and the epoch
 //! count shrinking).
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use levelarray_suite::rng::default_rng;
+use levelarray_suite::rng::{default_rng, RandomSource};
 use levelarray_suite::{ActivityArray, ElasticLevelArray, GrowthPolicy, LevelArrayConfig, Name};
 
 #[test]
@@ -295,4 +295,145 @@ fn last_free_from_another_stripe_retires_the_drained_epoch() {
         array.free(anchor);
         assert_eq!(array.epoch_held(1), Some(0));
     }
+}
+
+/// `perfbench`'s elastic facade at the `bursty` bound of 256: an initial
+/// epoch of bound 32, doubling up to 8 live epochs, with a 25% shrink
+/// watermark.
+fn bursty_elastic() -> ElasticLevelArray {
+    LevelArrayConfig::new(32)
+        .growth(GrowthPolicy::Doubling { max_epochs: 8 })
+        .shrink_watermark(0.25)
+        .build_elastic()
+        .expect("valid elastic configuration")
+}
+
+/// The shape of one `bursty` cycle, for a single worker holding the whole
+/// load: names held between bursts, names held at the peak, the batch
+/// size of the climb, and the singleton pairs of the low phase.
+const BURST_LOW: usize = 26;
+const BURST_HIGH: usize = 230;
+const BURST_BATCH: usize = 16;
+const BURST_LOW_PAIRS: usize = 512;
+
+/// One low-phase pair: a singleton `Get`, then a `Free` of the oldest
+/// held name, so the held set rotates out of any epoch left behind.
+fn low_pair(array: &ElasticLevelArray, rng: &mut impl RandomSource, held: &mut VecDeque<Name>) {
+    held.push_back(array.get(rng).name());
+    let oldest = held.pop_front().expect("the low phase holds names");
+    array.free(oldest);
+}
+
+/// One `bursty` cycle on one thread: climb to [`BURST_HIGH`] names by
+/// `get_many`, release back to [`BURST_LOW`] with one `free_many`, then
+/// churn [`BURST_LOW_PAIRS`] singleton pairs.  Returns how many names the
+/// climb's `get_many` calls came back short.
+fn burst_cycle(
+    array: &ElasticLevelArray,
+    rng: &mut impl RandomSource,
+    held: &mut VecDeque<Name>,
+) -> usize {
+    let mut short = 0;
+    let mut out = Vec::with_capacity(BURST_BATCH);
+    while held.len() < BURST_HIGH {
+        let k = (BURST_HIGH - held.len()).min(BURST_BATCH);
+        out.clear();
+        let won = array.get_many(rng, k, &mut out);
+        short += k - won;
+        held.extend(out.iter().map(|got| got.name()));
+        if won == 0 {
+            break;
+        }
+    }
+    let released: Vec<Name> = held.drain(BURST_LOW..).collect();
+    ActivityArray::free_many(array, &released);
+    for _ in 0..BURST_LOW_PAIRS {
+        low_pair(array, rng, held);
+    }
+    short
+}
+
+/// Runs `cycles` burst cycles from a [`BURST_LOW`] prefill, asserting that
+/// every climb filled, and returns the names held afterwards.
+fn run_bursts(array: &ElasticLevelArray, seed: u64, cycles: usize) -> VecDeque<Name> {
+    let mut rng = default_rng(seed);
+    let mut held: VecDeque<Name> = (0..BURST_LOW).map(|_| array.get(&mut rng).name()).collect();
+    for cycle in 0..cycles {
+        let short = burst_cycle(array, &mut rng, &mut held);
+        assert_eq!(
+            short,
+            0,
+            "cycle {cycle}: get_many came back {short} names short after {} epochs opened",
+            array.epochs_opened()
+        );
+    }
+    held
+}
+
+/// A burst that recurs must not rebuild the chain every cycle.  Without a
+/// shrink backoff each cycle publishes a grow (the climb outgrows the
+/// 64-bound epoch) and a shrink (the low phase sits under the watermark),
+/// so one array burns two of its 1024 epoch tags per cycle and from cycle
+/// 512 on can no longer grow: `get_many` comes back short.  The backoff
+/// doubles the shrink patience each time a grow undoes a shrink, so 600
+/// cycles open a few dozen epochs at most.
+///
+/// This bounds the rate, not the lifetime: at the backoff's cap a
+/// single-threaded loop like this one still publishes an epoch pair about
+/// every 250 cycles (its low phases never reset the streak), so the tag
+/// space still runs out eventually.  Recycling retired tags — the ROADMAP's
+/// tag-recycling item — stays open.
+#[test]
+fn recurring_bursts_keep_their_epoch() {
+    let array = bursty_elastic();
+    let mut held = run_bursts(&array, 0xB025_7001, 600);
+    let opened = array.epochs_opened();
+    assert!(
+        opened <= 64,
+        "600 burst cycles opened {opened} epochs: the chain thrashes"
+    );
+    ActivityArray::free_many(&array, held.make_contiguous());
+}
+
+/// The backoff delays shrinking but never disables it: after the same 600
+/// burst cycles, low churn alone still shrinks the chain below the burst
+/// bound within the capped patience window (2¹⁰ times the bound, in
+/// frees), and the oversized epoch retires once its names rotate out.
+#[test]
+fn low_churn_after_recurring_bursts_still_shrinks_the_chain() {
+    let array = bursty_elastic();
+    let mut held = run_bursts(&array, 0xB025_7001, 600);
+    let mut rng = default_rng(0x10_C4C2);
+    // 230 names outgrow a 64-bound epoch (capacity 192), so the bursts
+    // settle on a 128-bound one.
+    let burst_bound = 128;
+    assert_eq!(
+        array.epoch_contention(array.newest_epoch()),
+        Some(burst_bound),
+        "the bursts left their epoch serving"
+    );
+    // The patience window at the backoff's cap, plus one sample stride.
+    let limit = (1 << 10) * burst_bound + 16;
+    let mut pairs = 0;
+    while array.epoch_contention(array.newest_epoch()) == Some(burst_bound) {
+        assert!(
+            pairs < limit,
+            "{pairs} low pairs never shrank the {burst_bound}-bound epoch"
+        );
+        low_pair(&array, &mut rng, &mut held);
+        pairs += 1;
+    }
+    for _ in 0..BURST_LOW {
+        low_pair(&array, &mut rng, &mut held);
+    }
+    array.try_retire();
+    assert_eq!(array.num_epochs(), 1, "the burst epoch never retired");
+    let bound = array
+        .epoch_contention(array.newest_epoch())
+        .expect("the newest epoch is live");
+    assert!(
+        bound < burst_bound,
+        "the chain kept the {bound}-bound epoch"
+    );
+    ActivityArray::free_many(&array, held.make_contiguous());
 }

@@ -561,6 +561,63 @@ mod storm {
         la_fault::reset();
     }
 
+    /// A batched `Get` that unwinds between two epoch tags: the slice it
+    /// was serving held-counts nothing until its tag loop completes, so
+    /// the rollback frees the slice's wins — tagged and untagged alike —
+    /// without touching the count.  Afterwards every live epoch's held
+    /// count is exact, nothing is left registered, and the drained older
+    /// epoch still retires.
+    #[test]
+    fn a_batch_unwinding_mid_tag_leaves_exact_held_counts() {
+        let _gate = armed(FaultPlan::count_only(1));
+        let array = ElasticLevelArray::new(4, GrowthPolicy::Doubling { max_epochs: 4 });
+        let mut rng = default_rng(31);
+
+        // Grow to a second epoch, keep epoch 0's names, free the rest: the
+        // newest epoch is empty and the next batch is served from it.
+        let mut out = Vec::new();
+        assert_eq!(array.get_many(&mut rng, 20, &mut out), 20);
+        assert_eq!(array.num_epochs(), 2, "the batch must have grown once");
+        let (old, grown): (Vec<Name>, Vec<Name>) = out
+            .iter()
+            .map(|got| got.name())
+            .partition(|n| n.epoch() == 0);
+        array.free_many(&grown);
+        let newest = array.newest_epoch();
+        assert_eq!(array.epoch_held(newest), Some(0));
+
+        // The third tag of the next batch panics, after the kernel won all
+        // six slots and two of them were tagged.
+        la_fault::reset();
+        la_fault::arm_site("elastic::tag_many", 3, FaultAction::Panic);
+        let mut batch = Vec::new();
+        let unwound = catch_unwind(AssertUnwindSafe(|| array.get_many(&mut rng, 6, &mut batch)))
+            .expect_err("the armed tag must unwind");
+        assert_eq!(
+            la_fault::injected_site(unwound.as_ref()),
+            Some("elastic::tag_many")
+        );
+        la_fault::reset();
+        assert!(batch.is_empty(), "the unwound batch returned names");
+        assert_eq!(
+            array.epoch_held(newest),
+            Some(0),
+            "the unwound slice left a held count behind"
+        );
+        assert_eq!(array.epoch_held(0), Some(old.len()));
+
+        // Freeing epoch 0's names drains it; its last free schedules the
+        // retirement, and the explicit pass covers a deferred one.
+        array.free_many(&old);
+        for epoch in array.epoch_ids() {
+            assert_eq!(array.epoch_held(epoch), Some(0), "epoch {epoch}");
+        }
+        assert!(array.collect().is_empty(), "the unwound batch leaked slots");
+        array.try_retire();
+        assert_eq!(array.epoch_ids(), vec![newest], "epoch 0 never retired");
+        la_fault::reset();
+    }
+
     /// The ISSUE's adversarial acceptance test: with the stuck-pin
     /// threshold at zero, a paused (stuck) pinner makes every retirement
     /// pass fail its grace check and arm the backoff — and the watchdog
