@@ -1,10 +1,15 @@
-# Local mirror of .github/workflows/ci.yml — `make ci` runs the full gate.
+# Local mirror of .github/workflows/ci.yml.  `make ci` runs the gate job's
+# blocking steps except the bench smoke cells: lint, format, clippy, release
+# build, tests, docs, bench compile, every example and the perfbench
+# workloads.  `make bench-smoke`, `MICRO_QUICK=1 make bench-topology` and
+# `MICRO_QUICK=1 make bench-batch` run the smoke cells; `make bench-diff` is
+# the non-blocking drift report.
 
 CARGO ?= cargo
 
 .PHONY: ci ci-lint fmt clippy build test doc bench-check bench-smoke bench-json bench-diff bench-layout bench-topology bench-batch perfbench perf-ab examples miri loom loom-mutant fault fault-storm
 
-ci: ci-lint fmt clippy build test doc bench-check
+ci: ci-lint fmt clippy build test doc bench-check examples perfbench
 
 # Every workflow file must load as YAML: a plain scalar that contains ": "
 # or ends in ":" (a `run:` line ending in `module::`, say) is a parse

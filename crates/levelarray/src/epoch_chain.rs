@@ -113,11 +113,15 @@ pub const DEFAULT_PIN_STRIPES: usize = 16;
 static NEXT_THREAD_TOKEN: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// The calling thread's sticky stripe token, assigned on first pin.
+    /// The calling thread's sticky stripe token, assigned on first use.
     static THREAD_TOKEN: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-fn thread_token() -> usize {
+/// The calling thread's sticky token, assigned round-robin on first use.
+/// Public, but hidden, for `la_reclaim`, whose retire stripes are chosen by
+/// the same token, so pin stripes and retire stripes share one counter.
+#[doc(hidden)]
+pub fn thread_token() -> usize {
     THREAD_TOKEN.with(|token| match token.get() {
         Some(t) => t,
         None => {

@@ -7,19 +7,21 @@
 //!   [`ReclaimDomain::pin`] performs a `Get` on the activity array and returns
 //!   an RAII [`OperationGuard`]; dropping the guard performs the `Free`.
 //! * When a thread unlinks a node it calls [`ReclaimDomain::retire`] — the
-//!   node goes onto the *retire list*, behind a lock of its own; it cannot be
-//!   freed yet because other pinned operations may still hold references.
+//!   node goes onto the thread's *retire stripe*, one of a fixed set of
+//!   lists each behind a lock of its own, picked by the thread's sticky
+//!   token; it cannot be freed yet because other pinned operations may
+//!   still hold references.
 //! * [`ReclaimDomain::try_reclaim`] runs pass number `p`.  Under the limbo
-//!   lock it swaps the retire list out and closes it as a bag stamped `p`,
-//!   and only *then* takes a `Collect` snapshot of the names registered at
-//!   that moment, so every node in a bag was retired before the bag's
-//!   snapshot.  A closed bag may be freed once **every name in its snapshot
-//!   has been observed absent** in some later `Collect`.  A name's absence
-//!   proves the operation that held it at close time has completed (it held
-//!   the name continuously until its `Free`), so no operation that could
-//!   have seen the retired nodes is still running.  Re-acquisition of the
-//!   same name by a *new* operation merely delays reclamation; it never
-//!   makes it unsafe.
+//!   lock it swaps every stripe that holds nodes out and closes each as a
+//!   bag stamped `p`, and only *then* takes a `Collect` snapshot of the
+//!   names registered at that moment, so every node in a bag was retired
+//!   before the bag's snapshot.  A closed bag may be freed once **every
+//!   name in its snapshot has been observed absent** in some later
+//!   `Collect`.  A name's absence proves the operation that held it at
+//!   close time has completed (it held the name continuously until its
+//!   `Free`), so no operation that could have seen the retired nodes is
+//!   still running.  Re-acquisition of the same name by a *new* operation
+//!   merely delays reclamation; it never makes it unsafe.
 //!
 //! The pass does not keep each bag's snapshot.  It keeps the names of the
 //! last `Collect`, sorted, each with the number of the pass since which
@@ -34,8 +36,17 @@
 //! and a pop of the ripe bags off the front of the queue — never a rescan of
 //! the bags still waiting.  It frees the ripe bags after it drops the limbo
 //! lock.  A pass number advances only when its `Collect` completes, so a
-//! pass that unwinds before its `Collect` leaves its bag for the next
+//! pass that unwinds before its `Collect` leaves its bags for the next
 //! pass's snapshot, which is taken later still.
+//!
+//! The bags of one pass all carry the same stamp, so the queue of closed
+//! bags stays ordered by stamp however many stripes a pass swaps out.  A
+//! pass skips a stripe whose "has nodes" flag reads clear without locking
+//! it.  `retire` sets the flag under the stripe lock after its push, and
+//! only the pass that takes the list clears it, under the same lock, so a
+//! stripe that holds nodes never keeps a clear flag; a pass that reads the
+//! flag stale only leaves those nodes to a later pass, whose snapshot is
+//! later still.
 //!
 //! This is the "dynamic collect" reclamation scheme of the paper's reference
 //! \[17\], expressed over the activity-array API.
@@ -51,10 +62,16 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use la_fault::fail_point;
-use la_sync::atomic::{AtomicU64, Ordering};
+use la_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use larng::RandomSource;
+use levelarray::epoch_chain::thread_token;
 use levelarray::{ActivityArray, Name};
+
+/// Retire stripes per domain.  A thread retires onto the stripe its sticky
+/// thread token picks modulo this count, so threads whose tokens differ
+/// modulo it never share a retire lock.
+const RETIRE_STRIPES: usize = 8;
 
 /// A unit of deferred destruction: a type-erased owned allocation.
 struct Retired {
@@ -119,6 +136,51 @@ struct LimboState {
     scan: Vec<Name>,
 }
 
+/// What one retire stripe's lock guards.
+#[derive(Debug, Default)]
+struct StripeList {
+    /// Nodes retired onto the stripe since a pass last took them.
+    nodes: Vec<Retired>,
+    /// Nodes retired onto the stripe over the domain's lifetime.
+    retired: u64,
+}
+
+/// One retire stripe, on its own pair of cache lines, like the epoch
+/// chain's pin stripes, so retires on different stripes never move a line
+/// between them.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct RetireStripe {
+    list: Mutex<StripeList>,
+    /// Whether `list.nodes` holds anything.  Written only under the lock
+    /// (see the module documentation), read without it by a pass, which
+    /// skips the stripe when it reads clear.  `Relaxed` throughout: the
+    /// flag publishes nothing, since a pass that reads it set still takes
+    /// the lock, and the lock orders the list.
+    has_nodes: AtomicBool,
+}
+
+impl RetireStripe {
+    fn push(&self, node: Retired) {
+        let mut list = lock(&self.list);
+        list.nodes.push(node);
+        list.retired += 1;
+        self.has_nodes.store(true, Ordering::Relaxed);
+    }
+
+    /// Swaps the stripe's nodes out, or returns `None` when it holds none.
+    /// An idle stripe costs one load, not a lock.
+    fn take(&self) -> Option<Vec<Retired>> {
+        if !self.has_nodes.load(Ordering::Relaxed) {
+            return None;
+        }
+        let mut list = lock(&self.list);
+        self.has_nodes.store(false, Ordering::Relaxed);
+        let nodes = std::mem::take(&mut list.nodes);
+        (!nodes.is_empty()).then_some(nodes)
+    }
+}
+
 impl LimboState {
     /// Folds the fresh `Collect` in `scan` into `present` as pass `pass`,
     /// and returns the smallest `since` of the names present, or `u64::MAX`
@@ -149,12 +211,14 @@ pub struct DomainStats {
     pub retired: u64,
     /// Nodes actually freed so far.
     pub freed: u64,
-    /// Nodes currently awaiting a grace period: the retire list plus the
+    /// Nodes currently awaiting a grace period: the retire stripes plus the
     /// closed bags.  Nodes a pass has detached to free are in neither.
     pub in_limbo: u64,
     /// Reclamation passes that completed their `Collect`.
     pub reclaim_passes: u64,
-    /// Currently pinned operations (an instantaneous census).
+    /// Names held in the registry right now (an instantaneous `Collect`
+    /// census): the domain's pins, plus any name taken from the registry
+    /// directly, since the census cannot tell the two apart.
     pub pinned_now: usize,
 }
 
@@ -165,11 +229,11 @@ pub struct DomainStats {
 pub struct ReclaimDomain {
     registry: Arc<dyn ActivityArray>,
     limbo: Mutex<LimboState>,
-    /// Nodes retired since the last pass swapped the list out.  A lock of
-    /// its own, so a `retire` never waits out a pass.  Lock order: `limbo`,
-    /// then `retire_list`.
-    retire_list: Mutex<Vec<Retired>>,
-    retired: AtomicU64,
+    /// Nodes retired since a pass last swapped them out, one list per
+    /// stripe, each behind a lock of its own, so a `retire` never waits out
+    /// a pass or another stripe's retire.  Lock order: `limbo`, then one
+    /// stripe at a time.
+    stripes: [RetireStripe; RETIRE_STRIPES],
     freed: AtomicU64,
 }
 
@@ -179,8 +243,7 @@ impl ReclaimDomain {
         ReclaimDomain {
             registry,
             limbo: Mutex::new(LimboState::default()),
-            retire_list: Mutex::new(Vec::new()),
-            retired: AtomicU64::new(0),
+            stripes: Default::default(),
             freed: AtomicU64::new(0),
         }
     }
@@ -241,6 +304,9 @@ impl ReclaimDomain {
     /// (it has been unlinked from the shared structure); operations that were
     /// already pinned may still read it, which is exactly what the grace
     /// period protects.
+    ///
+    /// The node goes onto the calling thread's retire stripe, whose lock and
+    /// counter only threads with the same stripe share.
     pub fn retire<T: Send + 'static>(&self, boxed: Box<T>) {
         // Type-erase *before* the fault site: `Retired` has no Drop impl, so
         // a panic past this point leaks the allocation (safe — readers may
@@ -248,20 +314,20 @@ impl ReclaimDomain {
         // and freeing it under their feet.
         let node = Retired::new(boxed);
         fail_point!("reclaim::retire");
-        self.retired.fetch_add(1, Ordering::Relaxed);
-        self.lock_retire_list().push(node);
+        self.stripes[thread_token() % RETIRE_STRIPES].push(node);
     }
 
     /// Runs one reclamation pass and returns the number of nodes freed.
     ///
-    /// Pass `p` (1) swaps the retire list out and, if it holds anything,
-    /// closes it as a bag stamped `p`; (2) takes a fresh `Collect`, sorts
-    /// it, and merges it into the list of names present since some pass,
-    /// where a name new at this pass is present since `p`; (3) detaches the
-    /// bags closed before the oldest `since`, which is all of them when the
-    /// `Collect` is empty; and (4) frees those after it drops the limbo
-    /// lock.  Steps 1–3 run under the limbo lock, and step 1 runs before
-    /// step 2, so a node retired during the pass goes to the next pass's
+    /// Pass `p` (1) swaps out every retire stripe that holds nodes and
+    /// closes each as its own bag stamped `p`, skipping idle stripes without
+    /// locking them; (2) takes a fresh `Collect`, sorts it, and merges it
+    /// into the list of names present since some pass, where a name new at
+    /// this pass is present since `p`; (3) detaches the bags closed before
+    /// the oldest `since`, which is all of them when the `Collect` is empty;
+    /// and (4) frees those after it drops the limbo lock.  Steps 1–3 run
+    /// under the limbo lock, and every swap of step 1 runs before step 2, so
+    /// a node retired onto a stripe after its swap goes to a later pass's
     /// bag.  Every call runs a full pass: a concurrent pass is waited out,
     /// never skipped.
     ///
@@ -273,17 +339,18 @@ impl ReclaimDomain {
         // this pass — reclamation is optional progress, never correctness.
         fail_point!("reclaim::reclaim", 0);
         let ripe: Vec<ClosedBag> = {
-            let mut limbo = self.lock_limbo();
+            let mut limbo = lock(&self.limbo);
             let pass = limbo.pass + 1;
-            let nodes = std::mem::take(&mut *self.lock_retire_list());
-            if !nodes.is_empty() {
-                limbo.closed.push_back(ClosedBag {
-                    nodes,
-                    closed_at: pass,
-                });
+            for stripe in &self.stripes {
+                if let Some(nodes) = stripe.take() {
+                    limbo.closed.push_back(ClosedBag {
+                        nodes,
+                        closed_at: pass,
+                    });
+                }
             }
-            // A panic here leaves the bag in `closed` and `pass` unchanged,
-            // so the next pass, numbered `pass` again, takes its snapshot.
+            // A panic here leaves the bags in `closed` and `pass` unchanged,
+            // so the next pass, numbered `pass` again, takes their snapshot.
             fail_point!("reclaim::gathered");
             let limbo = &mut *limbo;
             limbo.scan.clear();
@@ -306,32 +373,22 @@ impl ReclaimDomain {
         freed
     }
 
-    /// The limbo lock, tolerant of poisoning: the state it guards is plain
-    /// data that every mutation leaves consistent, so a panic while holding
-    /// it (fault injection included) carries no information — later passes
-    /// proceed instead of cascading the panic through every caller.
-    fn lock_limbo(&self) -> MutexGuard<'_, LimboState> {
-        self.limbo.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The retire-list lock, tolerant of poisoning for the same reason.
-    fn lock_retire_list(&self) -> MutexGuard<'_, Vec<Retired>> {
-        self.retire_list
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Current counters.
     pub fn stats(&self) -> DomainStats {
-        let limbo = self.lock_limbo();
-        let in_limbo = self.lock_retire_list().len() as u64
-            + limbo
-                .closed
-                .iter()
-                .map(|b| b.nodes.len() as u64)
-                .sum::<u64>();
+        let limbo = lock(&self.limbo);
+        let mut retired = 0;
+        let mut in_limbo = limbo
+            .closed
+            .iter()
+            .map(|b| b.nodes.len() as u64)
+            .sum::<u64>();
+        for stripe in &self.stripes {
+            let list = lock(&stripe.list);
+            retired += list.retired;
+            in_limbo += list.nodes.len() as u64;
+        }
         DomainStats {
-            retired: self.retired.load(Ordering::Relaxed),
+            retired,
             freed: self.freed.load(Ordering::Relaxed),
             in_limbo,
             reclaim_passes: limbo.pass,
@@ -340,16 +397,27 @@ impl ReclaimDomain {
     }
 }
 
+/// Locks a domain mutex, tolerant of poisoning: the limbo state and the
+/// stripe lists are plain data that every mutation leaves consistent, so a
+/// panic while holding one (fault injection included) carries no
+/// information — later passes proceed instead of cascading the panic
+/// through every caller.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl Drop for ReclaimDomain {
     fn drop(&mut self) {
         // The domain owns every allocation still in limbo; free them now.
         // (No operation can still be pinned: guards borrow the domain.)
-        let retire_list = self
-            .retire_list
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        for node in retire_list.drain(..) {
-            node.reclaim();
+        for stripe in &mut self.stripes {
+            let list = stripe
+                .list
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner);
+            for node in list.nodes.drain(..) {
+                node.reclaim();
+            }
         }
         let limbo = self.limbo.get_mut().unwrap_or_else(PoisonError::into_inner);
         for bag in limbo.closed.drain(..) {
@@ -451,6 +519,38 @@ mod tests {
             assert_eq!(d.registry().collect(), vec![guard.name()]);
         }
         assert_eq!(d.stats().pinned_now, 0);
+    }
+
+    #[test]
+    fn pinned_now_counts_every_name_in_the_registry() {
+        let d = domain(4);
+        let mut rng = default_rng(10);
+        let direct = d.registry().get(&mut rng);
+        let guard = d.pin(&mut rng);
+        assert_eq!(d.stats().pinned_now, 2, "the census counts the direct Get");
+        drop(guard);
+        d.registry().free(direct.name());
+        assert_eq!(d.stats().pinned_now, 0);
+    }
+
+    #[test]
+    fn a_node_retired_by_a_thread_that_exited_is_freed_by_the_next_two_passes() {
+        let d = domain(4);
+        let drops = Arc::new(AtomicUsize::new(0));
+        std::thread::scope(|scope| {
+            scope.spawn(|| d.retire(Box::new(DropCounter(Arc::clone(&drops)))));
+        });
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                d.try_reclaim();
+                d.try_reclaim();
+            });
+        });
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "the stranded node leaked");
+        let stats = d.stats();
+        assert_eq!(stats.retired, 1);
+        assert_eq!(stats.freed, stats.retired, "{stats:?}");
+        assert_eq!(stats.in_limbo, 0);
     }
 
     #[test]

@@ -30,12 +30,19 @@ unsafe impl<T: Send> Send for Node<T> {}
 // may cross threads whenever `T: Send`.
 unsafe impl<T: Send> Sync for Node<T> {}
 
+/// The stack's head pointer on its own pair of cache lines: every push and
+/// pop reads `domain` before it pins, and a CAS on the head by another
+/// thread would otherwise take that read's line away.
+#[derive(Debug)]
+#[repr(align(128))]
+struct Head<T>(AtomicPtr<Node<T>>);
+
 /// A lock-free LIFO stack with activity-array-based memory reclamation.
 ///
 /// See the crate-level example for usage.
 #[derive(Debug)]
 pub struct TreiberStack<T> {
-    head: AtomicPtr<Node<T>>,
+    head: Head<T>,
     domain: Arc<ReclaimDomain>,
 }
 
@@ -51,7 +58,7 @@ impl<T: Send + 'static> TreiberStack<T> {
     /// Creates an empty stack protected by `domain`.
     pub fn new(domain: Arc<ReclaimDomain>) -> Self {
         TreiberStack {
-            head: AtomicPtr::new(ptr::null_mut()),
+            head: Head(AtomicPtr::new(ptr::null_mut())),
             domain,
         }
     }
@@ -70,11 +77,12 @@ impl<T: Send + 'static> TreiberStack<T> {
             next: ptr::null_mut(),
         }));
         loop {
-            let head = self.head.load(Ordering::Acquire);
+            let head = self.head.0.load(Ordering::Acquire);
             // SAFETY: `node` is exclusively owned until the CAS below succeeds.
             unsafe { (*node).next = head };
             if self
                 .head
+                .0
                 .compare_exchange(head, node, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
@@ -87,7 +95,7 @@ impl<T: Send + 'static> TreiberStack<T> {
     pub fn pop(&self, rng: &mut dyn RandomSource) -> Option<T> {
         let _guard = self.domain.pin(rng);
         loop {
-            let head = self.head.load(Ordering::Acquire);
+            let head = self.head.0.load(Ordering::Acquire);
             if head.is_null() {
                 return None;
             }
@@ -97,6 +105,7 @@ impl<T: Send + 'static> TreiberStack<T> {
             let next = unsafe { (*head).next };
             if self
                 .head
+                .0
                 .compare_exchange(head, next, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
@@ -118,7 +127,7 @@ impl<T: Send + 'static> TreiberStack<T> {
     /// Whether the stack is currently empty (a racy snapshot, like any such
     /// query on a lock-free structure).
     pub fn is_empty(&self) -> bool {
-        self.head.load(Ordering::Acquire).is_null()
+        self.head.0.load(Ordering::Acquire).is_null()
     }
 
     /// Pops every element currently reachable, returning how many were
@@ -138,7 +147,7 @@ impl<T> Drop for TreiberStack<T> {
         // (A plain load rather than `get_mut`: the model-checked atomic has
         // no exclusive-access view, and `&mut self` already proves there is
         // no concurrency to order against.)
-        let mut current = self.head.load(Ordering::Relaxed);
+        let mut current = self.head.0.load(Ordering::Relaxed);
         while !current.is_null() {
             // SAFETY: exclusive access during drop; each node is freed once.
             let boxed = unsafe { Box::from_raw(current) };

@@ -6,13 +6,15 @@
 //! within loom's preemption bound; in normal builds the same models run once
 //! as smoke tests, so this file is deliberately *not* `#![cfg(la_loom)]`.
 //!
-//! The domain's two locks are plain `std::sync::Mutex`es, which loom does
-//! not track: the limbo lock a pass holds, and the retire-list lock that
-//! `retire` takes and a pass takes to swap the list out.  So the models
-//! never run a `retire` or a pass concurrently with another — a retire runs
-//! before the reclaimer thread exists, and the main thread passes only
-//! while no other thread does — and lock use that never contends keeps
-//! that blind spot inert.
+//! The domain's locks are plain `std::sync::Mutex`es, which loom does not
+//! track: the limbo lock a pass holds, and the retire-stripe locks that
+//! `retire` takes on its thread's stripe and a pass takes to swap each
+//! stripe out.  Each stripe's "has nodes" flag is a model atomic, but it
+//! only lets a pass skip an idle stripe.  So the models never run a
+//! `retire` or a pass concurrently with another — a retire runs before the
+//! reclaimer thread exists, and the main thread passes only while no other
+//! thread does — and stripe and limbo locks that never contend keep that
+//! blind spot inert.
 //! What the model *does* race is the part the paper's argument rests on:
 //! the registry's atomic slots, i.e. whether a `Collect` snapshot taken by
 //! the reclaimer can ever miss a pin that was established before the bag

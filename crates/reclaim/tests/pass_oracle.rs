@@ -8,13 +8,18 @@
 //! registry through seeded random sequential schedules of get, free, retire
 //! and pass, and must free the same nodes on every pass and agree on
 //! `in_limbo` after it.  The elastic schedules grow their registry, so the
-//! domain's sort sees names from several epochs.
+//! domain's sort sees names from several epochs.  Every retire runs on one
+//! of two long-lived helper threads, alternately, so the domain retires
+//! onto two stripes and a pass closes bags from both.
 
 use std::collections::HashSet;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::Scope;
 
 use la_reclaim::ReclaimDomain;
 use larng::{default_rng, RandomSource};
+use levelarray::epoch_chain::thread_token;
 use levelarray::{
     ActivityArray, ElasticLevelArray, GrowthPolicy, LevelArray, Name, ShardedLevelArray,
 };
@@ -72,39 +77,97 @@ impl Drop for Logged {
 struct Coverage {
     freeing_passes: u64,
     passes_with_nothing_retired: u64,
+    passes_closing_two_stripes: u64,
     names_past_epoch_zero: u64,
 }
 
+/// A long-lived thread that retires nodes on the schedule's behalf and
+/// acks each retire before the schedule takes its next step.
+struct Helper {
+    jobs: Sender<(Arc<ReclaimDomain>, Logged)>,
+    /// The helper's sticky thread token, sent once when it starts and
+    /// again after each retire as the ack.
+    acks: Receiver<usize>,
+}
+
+impl Helper {
+    /// Spawns the helper and returns it with its thread token, which it
+    /// takes before this returns.
+    fn spawn<'scope>(scope: &'scope Scope<'scope, '_>) -> (Self, usize) {
+        let (jobs, inbox) = channel::<(Arc<ReclaimDomain>, Logged)>();
+        let (ack, acks) = channel();
+        scope.spawn(move || {
+            let token = thread_token();
+            ack.send(token).expect("the schedule hung up");
+            for (domain, node) in inbox {
+                domain.retire(Box::new(node));
+                drop(domain);
+                ack.send(token).expect("the schedule hung up");
+            }
+        });
+        let token = acks.recv().expect("the helper died");
+        (Helper { jobs, acks }, token)
+    }
+
+    fn retire(&self, domain: &Arc<ReclaimDomain>, node: Logged) {
+        self.jobs
+            .send((Arc::clone(domain), node))
+            .expect("the helper died");
+        self.acks.recv().expect("the helper died");
+    }
+}
+
+/// Spawns two helpers whose thread tokens are consecutive.  A thread's
+/// retire stripe is its token modulo the stripe count, so the two never
+/// share a stripe.  Every thread in this binary that takes a token takes it
+/// under one lock here: the helpers, and the calling thread, whose elastic
+/// pins would otherwise take one later.
+fn spawn_helpers<'scope>(scope: &'scope Scope<'scope, '_>) -> [Helper; 2] {
+    static TOKENS: Mutex<()> = Mutex::new(());
+    let _tokens = TOKENS.lock().unwrap_or_else(PoisonError::into_inner);
+    thread_token();
+    let (first, a) = Helper::spawn(scope);
+    let (second, b) = Helper::spawn(scope);
+    assert_eq!(b, a + 1, "the helpers' tokens are not consecutive");
+    [first, second]
+}
+
 /// The model and the domain side by side over one registry.
-struct Pair {
+struct Pair<'h> {
     registry: Arc<dyn ActivityArray>,
-    domain: ReclaimDomain,
+    domain: Arc<ReclaimDomain>,
     model: Model,
     log: Arc<Mutex<Vec<u64>>>,
     next_id: u64,
-    retired_since_pass: bool,
+    helpers: &'h [Helper; 2],
+    /// Which helpers retired a node since the last pass.
+    retired_by: [bool; 2],
 }
 
-impl Pair {
-    fn new(registry: Arc<dyn ActivityArray>) -> Self {
+impl<'h> Pair<'h> {
+    fn new(registry: Arc<dyn ActivityArray>, helpers: &'h [Helper; 2]) -> Self {
         Pair {
-            domain: ReclaimDomain::new(Arc::clone(&registry)),
+            domain: Arc::new(ReclaimDomain::new(Arc::clone(&registry))),
             registry,
             model: Model::default(),
             log: Arc::default(),
             next_id: 0,
-            retired_since_pass: false,
+            helpers,
+            retired_by: [false; 2],
         }
     }
 
+    /// Retires the next node through the helpers in turn.
     fn retire(&mut self) {
-        self.domain.retire(Box::new(Logged {
+        let helper = (self.next_id % 2) as usize;
+        let node = Logged {
             id: self.next_id,
             log: Arc::clone(&self.log),
-        }));
+        };
+        self.helpers[helper].retire(&self.domain, node);
         self.model.open.push(self.next_id);
         self.next_id += 1;
-        self.retired_since_pass = true;
+        self.retired_by[helper] = true;
     }
 
     /// One pass on each side; asserts they free the same ids and leave the
@@ -112,10 +175,11 @@ impl Pair {
     fn pass(&mut self, context: &str, coverage: &mut Coverage) {
         let collect = self.registry.collect();
         coverage.names_past_epoch_zero += collect.iter().filter(|n| n.epoch() > 0).count() as u64;
-        if !self.retired_since_pass {
-            coverage.passes_with_nothing_retired += 1;
+        match std::mem::take(&mut self.retired_by) {
+            [false, false] => coverage.passes_with_nothing_retired += 1,
+            [true, true] => coverage.passes_closing_two_stripes += 1,
+            _ => {}
         }
-        self.retired_since_pass = false;
 
         let mut expected = self.model.pass(&collect);
         let freed = self.domain.try_reclaim();
@@ -146,12 +210,13 @@ const STEPS: usize = 300;
 /// and both sides must empty limbo.
 fn run_schedule(
     registry: Arc<dyn ActivityArray>,
+    helpers: &[Helper; 2],
     seed: u64,
     max_held: usize,
     coverage: &mut Coverage,
 ) {
     let mut rng = default_rng(seed);
-    let mut pair = Pair::new(registry);
+    let mut pair = Pair::new(registry, helpers);
     let mut held: Vec<Name> = Vec::new();
     let anchor = (seed % 2 == 0).then(|| pair.registry.get(&mut rng).name());
 
@@ -187,11 +252,15 @@ fn run_schedule(
 
 fn run_all(make: impl Fn() -> Arc<dyn ActivityArray>, max_held: usize) -> Coverage {
     let mut coverage = Coverage::default();
-    for seed in 0..SCHEDULES {
-        run_schedule(make(), seed, max_held, &mut coverage);
-    }
+    std::thread::scope(|scope| {
+        let helpers = spawn_helpers(scope);
+        for seed in 0..SCHEDULES {
+            run_schedule(make(), &helpers, seed, max_held, &mut coverage);
+        }
+    });
     assert!(coverage.freeing_passes > 0, "{coverage:?}");
     assert!(coverage.passes_with_nothing_retired > 0, "{coverage:?}");
+    assert!(coverage.passes_closing_two_stripes > 0, "{coverage:?}");
     coverage
 }
 

@@ -192,6 +192,7 @@ mod storm {
     use super::*;
     use la_fault::{FaultAction, FaultPlan};
     use la_reclaim::ReclaimDomain;
+    use levelarray::epoch_chain::thread_token;
     use levelarray::{LevelArrayConfig, Name};
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -816,6 +817,97 @@ mod storm {
         let stats = domain.stats();
         assert_eq!(stats.in_limbo, 0);
         assert_eq!(stats.reclaim_passes, 4, "the unwound pass counted");
+        la_fault::reset();
+    }
+
+    /// The same unwind with nodes on two retire stripes: the pass has
+    /// swapped both out when it unwinds, and both stay in limbo until the
+    /// reader unpins.
+    #[test]
+    fn a_pass_that_unwinds_after_swapping_two_stripes_keeps_both() {
+        let _gate = armed(FaultPlan::count_only(1));
+        let domain = Arc::new(ReclaimDomain::new(Arc::new(LevelArray::new(4))));
+        let drops = Arc::new(AtomicUsize::new(0));
+
+        assert_eq!(domain.try_reclaim(), 0);
+        let mut rng = default_rng(24);
+        let reader = domain.pin(&mut rng);
+        // Two new threads retire one node each.  Nothing else runs under
+        // the gate, so they take consecutive thread tokens, and a thread's
+        // stripe is its token modulo the stripe count: two stripes.
+        let tokens: Vec<usize> = (0..2)
+            .map(|_| {
+                let domain = Arc::clone(&domain);
+                let drops = Arc::clone(&drops);
+                std::thread::spawn(move || {
+                    domain.retire(Box::new(DropCounter(drops)));
+                    thread_token()
+                })
+                .join()
+                .expect("a retiring thread panicked")
+            })
+            .collect();
+        assert_eq!(tokens[1], tokens[0] + 1, "the retires may share a stripe");
+
+        la_fault::reset();
+        la_fault::arm_site("reclaim::gathered", 1, FaultAction::Panic);
+        let unwound = catch_unwind(AssertUnwindSafe(|| domain.try_reclaim()))
+            .expect_err("the armed pass must unwind");
+        assert_eq!(
+            la_fault::injected_site(unwound.as_ref()),
+            Some("reclaim::gathered")
+        );
+        assert_eq!(domain.stats().in_limbo, 2, "a swapped node was lost");
+
+        assert_eq!(domain.try_reclaim(), 0, "freed under a live pin");
+        assert_eq!(drops.load(Ordering::SeqCst), 0);
+        drop(reader);
+        assert_eq!(domain.try_reclaim(), 2);
+        assert_eq!(drops.load(Ordering::SeqCst), 2);
+        let stats = domain.stats();
+        assert_eq!(stats.in_limbo, 0);
+        assert_eq!(stats.reclaim_passes, 3, "the unwound pass counted");
+        la_fault::reset();
+    }
+
+    /// `retire` type-erases its payload before its fault site, so a retire
+    /// that unwinds there leaks the node: nothing drops the payload, not a
+    /// pass and not the domain, and neither `retired` nor `in_limbo` counts
+    /// it.  The next retire and pass work as before.
+    #[test]
+    fn a_retire_that_unwinds_leaks_its_node_and_counts_nothing() {
+        let _gate = armed(FaultPlan::count_only(1));
+        let domain = ReclaimDomain::new(Arc::new(LevelArray::new(4)));
+        let leaked = Arc::new(AtomicUsize::new(0));
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut rng = default_rng(23);
+        let reader = domain.pin(&mut rng);
+
+        la_fault::arm_site("reclaim::retire", 1, FaultAction::Panic);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            domain.retire(Box::new(DropCounter(Arc::clone(&leaked))))
+        }))
+        .expect_err("the armed retire must unwind");
+        assert_eq!(
+            la_fault::injected_site(unwound.as_ref()),
+            Some("reclaim::retire")
+        );
+        let stats = domain.stats();
+        assert_eq!((stats.retired, stats.in_limbo), (0, 0), "{stats:?}");
+
+        domain.retire(Box::new(DropCounter(Arc::clone(&drops))));
+        assert_eq!(domain.try_reclaim(), 0, "freed under a live pin");
+        drop(reader);
+        assert_eq!(domain.try_reclaim(), 1);
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        let stats = domain.stats();
+        assert_eq!(
+            (stats.retired, stats.freed, stats.in_limbo),
+            (1, 1, 0),
+            "{stats:?}"
+        );
+        drop(domain);
+        assert_eq!(leaked.load(Ordering::SeqCst), 0, "the payload was dropped");
         la_fault::reset();
     }
 }
