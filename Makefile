@@ -48,12 +48,11 @@ bench-smoke:
 		$(CARGO) bench --bench sweeps
 	FIG3_N=64 FIG3_OPS=4000 FIG3_SNAPSHOT=1000 FIG3_SHARDS=2 FIG3_ELASTIC_EPOCHS=4 \
 		$(CARGO) bench --bench fig3_healing
-	MICRO_QUICK=1 $(CARGO) bench --bench micro
 
 # The reference cells behind the committed baseline table: the same shape as
 # bench-smoke but with enough operations per cell that throughput is stable
 # enough to diff (the smoke cells are far too small for that).  The caller
-# sets BENCH_JSON; micro is skipped (its criterion stand-in has no JSON).
+# sets BENCH_JSON.
 # The topology storm runs as its own sweeps invocation because it needs a
 # different shape from the core sweeps: a >=8-thread contended Get storm at
 # 90% prefill and space factor 1.5, with enough ops per thread that every

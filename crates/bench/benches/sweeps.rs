@@ -1,5 +1,5 @@
-//! Reproduces the parameter sweeps described in the text of the paper's §6
-//! (and the ablations called out in DESIGN.md §7):
+//! Reproduces the parameter sweeps described in the text of the paper's §6,
+//! and ablates the configuration knobs:
 //!
 //! 1. **Pre-fill sweep** — the paper states the Figure-2 results hold for
 //!    pre-fill percentages between 0 % and 90 %.
@@ -269,7 +269,7 @@ fn core_sweeps(base: &WorkloadConfig, repeat: usize, sink: &mut Option<JsonSink>
         ablation_table.push_row(result_row(&result, vec![result.algorithm.clone().into()]));
     }
     println!(
-        "## LevelArray ablations (DESIGN.md §7)\n\n{}",
+        "## LevelArray ablations\n\n{}",
         ablation_table.to_markdown()
     );
 

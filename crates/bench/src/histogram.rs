@@ -9,7 +9,7 @@
 //! care about — a `Get` that fell through to the backup array, a `Get` that
 //! stalled behind a growth episode of the elastic chain — and a log-bucketed
 //! histogram captures that tail in 65 counters with a constant-time record
-//! path, the same design vendored criterion uses for its timing loops.
+//! path.
 //!
 //! Buckets are powers of two: bucket `i` (for `i >= 1`) covers latencies in
 //! `[2^(i-1), 2^i)` nanoseconds, bucket 0 holds exact zeros.  Quantiles

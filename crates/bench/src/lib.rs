@@ -10,7 +10,6 @@
 //! | `fig2_panels` | Figure 2: throughput, average trials, standard deviation, worst case vs. thread count for LevelArray / ShardedLevelArray / Random / LinearProbing |
 //! | `fig3_healing` | Figure 3: per-batch fill over time starting from an unbalanced state, for the plain and the sharded layout |
 //! | `sweeps` | §6 text: pre-fill 0–90 %, `L/N ∈ [2, 4]`, the deterministic LinearScan comparison, probe-count / TAS / shard-count ablations |
-//! | `micro` | Criterion micro-benchmarks: per-operation Get/Free/Collect cost, application overheads |
 //!
 //! Every target accepts environment variables to scale the run (see each
 //! target's module docs); the defaults are sized so that the whole suite

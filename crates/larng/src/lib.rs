@@ -41,7 +41,7 @@ pub use pcg::Pcg32;
 pub use seed::{entropy_seed, SeedSequence};
 pub use source::RandomSource;
 pub use splitmix::SplitMix64;
-pub use xorshift::{Xorshift128Plus, Xorshift64Star};
+pub use xorshift::Xorshift64Star;
 
 /// The default generator used throughout the workspace when the caller does not
 /// care which one they get.
@@ -63,13 +63,6 @@ pub fn default_rng(seed: u64) -> DefaultRng {
     Xorshift64Star::seed_from_u64(seed)
 }
 
-/// Constructs the workspace-default generator from OS-independent best-effort
-/// entropy (wall clock, thread id, ASLR).  Use only where reproducibility is
-/// not required, e.g. in throughput benchmarks.
-pub fn default_rng_from_entropy() -> DefaultRng {
-    Xorshift64Star::seed_from_u64(entropy_seed())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,7 +78,7 @@ mod tests {
 
     #[test]
     fn entropy_rng_is_usable() {
-        let mut rng = default_rng_from_entropy();
+        let mut rng = default_rng(entropy_seed());
         // Not a statistical test; just ensures the entropy path produces a
         // working generator.
         let mut distinct = std::collections::HashSet::new();

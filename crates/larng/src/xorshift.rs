@@ -1,18 +1,14 @@
-//! Marsaglia-family xorshift generators.
+//! The Marsaglia xorshift generator.
 //!
 //! The paper's implementation uses "the Marsaglia ... random number generator"
-//! (§6).  Marsaglia's xorshift family (2003) covers several variants; we
-//! provide the two most commonly used in concurrent-data-structure code:
+//! (§6).  [`Xorshift64Star`] is the member of Marsaglia's xorshift family
+//! (2003) most commonly used in concurrent-data-structure code: a 64-bit state
+//! xorshift whose output is multiplied by an odd constant ("xorshift*"),
+//! fixing the weak low bits of plain xorshift.
 //!
-//! * [`Xorshift64Star`] — a 64-bit state xorshift whose output is multiplied by
-//!   an odd constant ("xorshift*"), fixing the weak low bits of plain xorshift.
-//! * [`Xorshift128Plus`] — a 128-bit state variant with an additive output
-//!   scrambler, formerly the engine behind most JavaScript `Math.random`
-//!   implementations.
-//!
-//! Both accept any 64-bit seed; an all-zero internal state (which would be an
-//! absorbing state for the xorshift transition) is avoided by passing the seed
-//! through SplitMix64 and remapping zero.
+//! It accepts any 64-bit seed; the all-zero internal state (an absorbing state
+//! of the xorshift transition) is avoided by passing the seed through
+//! SplitMix64 and remapping zero.
 
 use crate::{RandomSource, SplitMix64};
 
@@ -75,65 +71,6 @@ impl RandomSource for Xorshift64Star {
 }
 
 impl Default for Xorshift64Star {
-    fn default() -> Self {
-        Self::seed_from_u64(0)
-    }
-}
-
-/// xorshift128+ generator: 128-bit state, period 2^128 − 1.
-///
-/// # Examples
-///
-/// ```
-/// use larng::{RandomSource, Xorshift128Plus};
-/// let mut rng = Xorshift128Plus::seed_from_u64(3);
-/// assert!(rng.gen_below(17) < 17);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Xorshift128Plus {
-    s0: u64,
-    s1: u64,
-}
-
-impl Xorshift128Plus {
-    /// Creates a generator from a 64-bit seed (expanded to 128 bits of state
-    /// with SplitMix64, per the generator author's recommendation).
-    pub fn seed_from_u64(seed: u64) -> Self {
-        let mut seeder = SplitMix64::seed_from_u64(seed);
-        let mut s0 = seeder.next_u64();
-        let mut s1 = seeder.next_u64();
-        if s0 == 0 && s1 == 0 {
-            s0 = 0x8764_000b_2b4e_ef4d;
-            s1 = 0xf542_d2d3_8b0d_8f32;
-        }
-        Self { s0, s1 }
-    }
-
-    /// Creates a generator from two raw state words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if both words are zero.
-    pub fn from_raw_state(s0: u64, s1: u64) -> Self {
-        assert!(s0 != 0 || s1 != 0, "xorshift128+ state must be non-zero");
-        Self { s0, s1 }
-    }
-}
-
-impl RandomSource for Xorshift128Plus {
-    fn next_u64(&mut self) -> u64 {
-        let mut t = self.s0;
-        let s = self.s1;
-        self.s0 = s;
-        t ^= t << 23;
-        t ^= t >> 18;
-        t ^= s ^ (s >> 5);
-        self.s1 = t;
-        t.wrapping_add(s)
-    }
-}
-
-impl Default for Xorshift128Plus {
     fn default() -> Self {
         Self::seed_from_u64(0)
     }
@@ -202,37 +139,11 @@ mod tests {
     }
 
     #[test]
-    fn xorshift128plus_known_behavior() {
-        // With raw state (1, 2): t = 1^ (1<<23) = 0x800001, then t ^= t>>18,
-        // then t ^= 2 ^ (2>>5) = 2; result = t + 2.  We just check the
-        // implementation is deterministic and stable across calls.
-        let mut a = Xorshift128Plus::from_raw_state(1, 2);
-        let mut b = Xorshift128Plus::from_raw_state(1, 2);
-        for _ in 0..32 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn xorshift128plus_raw_zero_panics() {
-        let _ = Xorshift128Plus::from_raw_state(0, 0);
-    }
-
-    #[test]
-    fn xorshift128plus_no_short_cycles() {
-        let mut rng = Xorshift128Plus::seed_from_u64(3);
-        let mut seen = HashSet::new();
-        for _ in 0..50_000 {
-            assert!(seen.insert(rng.next_u64()));
-        }
-    }
-
-    #[test]
     fn generators_disagree_with_each_other() {
-        // Guards against accidentally wiring two types to the same engine.
+        // Guards against accidentally wiring the paper's two generators to
+        // the same engine.
         let mut a = Xorshift64Star::seed_from_u64(5);
-        let mut b = Xorshift128Plus::seed_from_u64(5);
+        let mut b = crate::MinStd::seed_from_u64(5);
         let va: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
         let vb: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
         assert_ne!(va, vb);

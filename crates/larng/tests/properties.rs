@@ -2,14 +2,13 @@
 
 use larng::{
     CountingRng, Lehmer64, MinStd, Pcg32, RandomSource, SeedSequence, SequenceRng, SplitMix64,
-    Xorshift128Plus, Xorshift64Star,
+    Xorshift64Star,
 };
 use proptest::prelude::*;
 
 /// Runs a closure against every generator type, seeded with `seed`.
 fn for_each_generator(seed: u64, mut f: impl FnMut(&mut dyn RandomSource, &'static str)) {
     f(&mut Xorshift64Star::seed_from_u64(seed), "xorshift64*");
-    f(&mut Xorshift128Plus::seed_from_u64(seed), "xorshift128+");
     f(&mut MinStd::seed_from_u64(seed), "minstd");
     f(&mut Lehmer64::seed_from_u64(seed), "lehmer64");
     f(&mut SplitMix64::seed_from_u64(seed), "splitmix64");

@@ -1,22 +1,24 @@
-//! Sharded storage: [`ShardGroup`], and the backend of one elastic epoch cell.
+//! Sharded storage: [`ShardGroup`], the storage of the sharded facade and
+//! of every elastic epoch cell.
 //!
 //! [`ShardGroup`] is the one sharding implementation in the crate: `S`
-//! cache-padded [`ProbeCore`]s over a dense namespace
-//! `shard · shard_capacity + local`, with sticky home routing, the
-//! ring-order steal walk, batch spill and the aggregated census.
-//! [`crate::ShardedLevelArray`] is a `ShardGroup` plus a home-token pool;
-//! the hierarchical epoch cells run on the same type.
+//! [`ProbeCore`]s over a dense namespace `shard · shard_capacity + local`,
+//! with sticky home routing, the ring-order steal walk, batch spill, the
+//! slot operations and the aggregated census.
+//! [`crate::ShardedLevelArray`] is a `ShardGroup` plus a home-token pool,
+//! and every epoch cell of [`crate::ElasticLevelArray`] stores one.
 //!
-//! [`crate::ElasticLevelArray`] composes the repo's two scaling mechanisms
-//! one level deep each: the epoch chain grows the *contention bound*, and —
-//! with [`crate::LevelArrayConfig::shard_group`] set — every epoch's storage
-//! is itself split into shard cores so the *memory traffic* of a big epoch
-//! stays spread out.  [`CellBackend`] is that seam: the epoch cell talks to
-//! one backend, which is either a single [`ProbeCore`] (flat) or a
-//! [`ShardGroup`] of `⌈C / g⌉` cores for group size `g` and cell contention
-//! `C`.  Doubling the chain therefore *adds shard groups* instead of
-//! doubling one contended slab.  The flat backend stays a bare core: a
-//! one-shard group would add a division to every `Free` on a flat epoch.
+//! The elastic array composes the repo's two scaling mechanisms one level
+//! deep each: the epoch chain grows the *contention bound*, and — with
+//! [`crate::LevelArrayConfig::shard_group`] set — every epoch's storage is
+//! itself split into shard cores so the *memory traffic* of a big epoch
+//! stays spread out.  [`ShardGroup::for_epoch`] gives a cell of contention
+//! `C` `⌈C / g⌉` shards for group size `g`, and one shard when `g == 0`
+//! (a flat epoch).  Doubling the chain therefore *adds shard groups*
+//! instead of doubling one contended slab.  A one-shard group stores its
+//! core inline, and its dense and local namespaces coincide, so its `Get`s,
+//! `Free`s, `is_held` and hint go straight to the core: a flat epoch pays
+//! no allocation, no split and no remap for being a group.
 //!
 //! The epoch tag plus the dense index (`Name::with_epoch(epoch, dense)`)
 //! routes every `Free`/`is_held`/hint unambiguously through both levels
@@ -38,11 +40,21 @@ use larng::RandomSource;
 #[repr(align(128))]
 pub(crate) struct PaddedCore(ProbeCore);
 
-/// `S` cache-padded probing cores sharing one dense namespace: shard
-/// `s`'s local slot `i` is the dense name `s · shard_capacity + i`.
+/// The cores of a [`ShardGroup`].  One core is stored inline and unpadded:
+/// there is no neighbouring shard to pad it against, and a flat epoch then
+/// costs no allocation beyond its core's own, exactly like a bare core.
+#[derive(Debug)]
+enum Cores {
+    Single(ProbeCore),
+    Padded(Box<[PaddedCore]>),
+}
+
+/// `S` probing cores sharing one dense namespace: shard `s`'s local slot
+/// `i` is the dense name `s · shard_capacity + i`.  Two or more cores are
+/// cache-padded.
 #[derive(Debug)]
 pub(crate) struct ShardGroup {
-    shards: Box<[PaddedCore]>,
+    cores: Cores,
     /// Capacity of each shard — the stride of the dense namespace.
     shard_capacity: usize,
     /// Cached cost of exhausting *every* shard (the steal walk's full
@@ -67,24 +79,64 @@ impl ShardGroup {
         if shards == 0 {
             return Err(ConfigError::ZeroShards);
         }
-        let shard_contention = config.max_concurrency_value().div_ceil(shards);
+        Self::split_bound(config, config.max_concurrency_value(), shards)
+    }
+
+    /// The storage of an epoch cell of bound `contention`, built from the
+    /// elastic array's shared base configuration: `⌈C / g⌉` shards for
+    /// [`LevelArrayConfig::shard_group`] `g`, one shard when `g == 0`.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`LevelArrayConfig::validate`] reports for the per-shard
+    /// configuration.
+    pub(crate) fn for_epoch(
+        base: &LevelArrayConfig,
+        contention: usize,
+    ) -> Result<Self, ConfigError> {
+        let shards = match base.shard_group_value() {
+            0 => 1,
+            group => contention.div_ceil(group).max(1),
+        };
+        Self::split_bound(base, contention, shards)
+    }
+
+    /// `shards ≥ 1` cores of bound `⌈contention / shards⌉` each.  A
+    /// one-shard group is built with no more work than a bare core: one
+    /// configuration clone and no allocation of its own.
+    fn split_bound(
+        config: &LevelArrayConfig,
+        contention: usize,
+        shards: usize,
+    ) -> Result<Self, ConfigError> {
         let per_shard = config
             .clone()
-            .with_contention(shard_contention)
+            .with_contention(contention.div_ceil(shards))
             .validate()?;
-        let cores: Box<[PaddedCore]> = (0..shards)
-            .map(|_| PaddedCore(per_shard.clone().into_probe_core()))
-            .collect();
-        Ok(ShardGroup {
-            shard_capacity: cores[0].0.capacity(),
-            exhausted_probes: cores.iter().map(|c| c.0.exhausted_probe_count()).sum(),
-            shards: cores,
-        })
+        let mut group = ShardGroup {
+            cores: if shards == 1 {
+                Cores::Single(per_shard.into_probe_core())
+            } else {
+                Cores::Padded(
+                    (0..shards)
+                        .map(|_| PaddedCore(per_shard.clone().into_probe_core()))
+                        .collect(),
+                )
+            },
+            shard_capacity: 0,
+            exhausted_probes: 0,
+        };
+        group.shard_capacity = group.core(0).capacity();
+        group.exhausted_probes = group.cores().map(ProbeCore::exhausted_probe_count).sum();
+        Ok(group)
     }
 
     /// Number of shard cores.
     pub(crate) fn num_shards(&self) -> usize {
-        self.shards.len()
+        match &self.cores {
+            Cores::Single(_) => 1,
+            Cores::Padded(shards) => shards.len(),
+        }
     }
 
     /// Capacity of each shard — the stride of the dense namespace.
@@ -94,7 +146,7 @@ impl ShardGroup {
 
     /// Total slots across all shards.
     pub(crate) fn capacity(&self) -> usize {
-        self.shard_capacity * self.shards.len()
+        self.shard_capacity * self.num_shards()
     }
 
     /// The probing core of shard `shard`.
@@ -103,12 +155,20 @@ impl ShardGroup {
     ///
     /// Panics if `shard >= num_shards()`.
     pub(crate) fn core(&self, shard: usize) -> &ProbeCore {
-        &self.shards[shard].0
+        self.cores()
+            .nth(shard)
+            .unwrap_or_else(|| panic!("shard {shard} out of range"))
     }
 
     /// The shard cores in shard order.
     pub(crate) fn cores(&self) -> impl Iterator<Item = &ProbeCore> {
-        self.shards.iter().map(|padded| &padded.0)
+        let (single, padded) = match &self.cores {
+            Cores::Single(core) => (Some(core), &[][..]),
+            Cores::Padded(shards) => (None, &shards[..]),
+        };
+        single
+            .into_iter()
+            .chain(padded.iter().map(|padded| &padded.0))
     }
 
     /// The batch layout every shard's main array shares.
@@ -146,16 +206,20 @@ impl ShardGroup {
         rng: &mut R,
         home: usize,
     ) -> Option<Acquired> {
-        let num_shards = self.shards.len();
-        debug_assert!(home < num_shards);
+        let shards = match &self.cores {
+            Cores::Single(core) => return core.try_get(rng),
+            Cores::Padded(shards) => shards,
+        };
+        debug_assert!(home < shards.len());
+        let mut shard = home;
         let mut probes = 0u32;
-        for hop in 0..num_shards {
-            let shard = (home + hop) % num_shards;
-            let core = &self.shards[shard].0;
+        for _ in 0..shards.len() {
+            let core = &shards[shard].0;
             match core.try_get(rng) {
                 Some(local) => return Some(self.remap(shard, local, probes)),
                 None => probes += core.exhausted_probe_count(),
             }
+            shard = next_shard(shard, shards.len());
         }
         None
     }
@@ -174,21 +238,26 @@ impl ShardGroup {
         probes: &mut u32,
         out: &mut Vec<Acquired>,
     ) -> usize {
-        let num_shards = self.shards.len();
-        debug_assert!(home < num_shards);
+        let shards = match &self.cores {
+            Cores::Single(core) => return core.try_get_many(rng, k, probes, out),
+            Cores::Padded(shards) => shards,
+        };
+        debug_assert!(home < shards.len());
+        let mut shard = home;
         let mut remaining = k;
-        for hop in 0..num_shards {
+        for _ in 0..shards.len() {
             if remaining == 0 {
                 break;
             }
-            let shard = (home + hop) % num_shards;
             let before = out.len();
-            remaining -= self.shards[shard]
-                .0
-                .try_get_many(rng, remaining, probes, out);
-            for got in &mut out[before..] {
-                *got = self.remap(shard, *got, 0);
+            remaining -= shards[shard].0.try_get_many(rng, remaining, probes, out);
+            // Shard 0's local names are already dense.
+            if shard != 0 {
+                for got in &mut out[before..] {
+                    *got = self.remap(shard, *got, 0);
+                }
             }
+            shard = next_shard(shard, shards.len());
         }
         k - remaining
     }
@@ -209,36 +278,57 @@ impl ShardGroup {
         );
         let shard = dense.index() / self.shard_capacity;
         assert!(
-            shard < self.shards.len(),
+            shard < self.num_shards(),
             "name {} out of range for a {}-shard group of capacity {}",
             dense.index(),
-            self.shards.len(),
+            self.num_shards(),
             self.capacity()
         );
         (shard, Name::new(dense.index() % self.shard_capacity))
     }
 
-    /// The core owning a dense name, and the name's local index there.
+    /// The core owning a dense name, and the name's local index there.  A
+    /// one-shard group passes the name through unchanged and leaves the
+    /// checks to the core.
     ///
     /// # Panics
     ///
-    /// As [`ShardGroup::split`].
+    /// As [`ShardGroup::split`], or when the core rejects the name.
     #[inline]
     pub(crate) fn locate(&self, dense: Name) -> (&ProbeCore, Name) {
+        let shards = match &self.cores {
+            Cores::Single(core) => return (core, dense),
+            Cores::Padded(shards) => shards,
+        };
         let (shard, local) = self.split(dense);
-        (&self.shards[shard].0, local)
+        (&shards[shard].0, local)
+    }
+
+    /// Releases a dense slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a tagged or out-of-range name, or a double free.
+    #[inline]
+    pub(crate) fn free(&self, dense: Name) {
+        let (core, local) = self.locate(dense);
+        core.free(local);
     }
 
     /// The batched `Free`: sorts the dense names once, splits them into
     /// per-shard runs and releases each run through the owning core's bulk
-    /// kernel ([`ProbeCore::free_many`]).  Like that kernel, it checks every
-    /// name before it releases any, so a bad name leaves the whole batch
-    /// held.
+    /// kernel ([`ProbeCore::free_many`]); a one-shard group hands the batch
+    /// to its core unsorted.  Like that kernel, it checks every name before
+    /// it releases any, so a bad name leaves the whole batch held.
     ///
     /// # Panics
     ///
     /// Panics on a tagged or out-of-range name, or a double free.
     pub(crate) fn free_many(&self, names: &[Name]) {
+        let shards = match &self.cores {
+            Cores::Single(core) => return core.free_many(names),
+            Cores::Padded(shards) => shards,
+        };
         let mut sorted = names.to_vec();
         sorted.sort_unstable();
         // The order is epoch-major, so the largest name is the one to check:
@@ -255,21 +345,45 @@ impl ShardGroup {
             for name in &mut sorted[start..end] {
                 *name = Name::new(name.index() - base);
             }
-            self.shards[shard].0.free_many(&sorted[start..end]);
+            shards[shard].0.free_many(&sorted[start..end]);
             start = end;
         }
+    }
+
+    /// Directly occupies a dense slot, bypassing the probing strategy
+    /// (test/experiment hook).  `false` means the slot was already held.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a tagged or out-of-range name.
+    pub(crate) fn force_occupy(&self, dense: Name) -> bool {
+        let (core, local) = self.locate(dense);
+        core.force_occupy(local)
+    }
+
+    /// Whether a dense slot is currently held.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a tagged or out-of-range name.
+    pub(crate) fn is_held(&self, dense: Name) -> bool {
+        let (core, local) = self.locate(dense);
+        core.is_held(local)
     }
 
     /// One test-and-set on the hinted dense slot (see
     /// [`ProbeCore::hint_acquire`]); stale hints (tagged, out of range) are
     /// rejected, never panic.
     pub(crate) fn hint_acquire(&self, dense: Name) -> Option<Acquired> {
+        let shards = match &self.cores {
+            Cores::Single(core) => return core.hint_acquire(dense),
+            Cores::Padded(shards) => shards,
+        };
         if dense.epoch() != 0 {
             return None;
         }
         let shard = dense.index() / self.shard_capacity;
-        let got = self
-            .shards
+        let got = shards
             .get(shard)?
             .0
             .hint_acquire(Name::new(dense.index() % self.shard_capacity))?;
@@ -286,9 +400,13 @@ impl ShardGroup {
 
     /// Visits every held slot's dense index.
     pub(crate) fn for_each_held(&self, mut f: impl FnMut(usize)) {
-        for (shard, core) in self.cores().enumerate() {
+        let shards = match &self.cores {
+            Cores::Single(core) => return core.for_each_held(f),
+            Cores::Padded(shards) => shards,
+        };
+        for (shard, padded) in shards.iter().enumerate() {
             let base = shard * self.shard_capacity;
-            core.for_each_held(|local| f(base + local));
+            padded.0.for_each_held(|local| f(base + local));
         }
     }
 
@@ -300,6 +418,11 @@ impl ShardGroup {
     /// Held slots in batch `i`, summed across shards.
     pub(crate) fn batch_occupancy(&self, i: usize) -> usize {
         self.cores().map(|core| core.batch_occupancy(i)).sum()
+    }
+
+    /// Capacity of batch `i`, summed across shards.
+    pub(crate) fn batch_capacity(&self, i: usize) -> usize {
+        self.geometry().batch_len(i) * self.num_shards()
     }
 
     /// Total backup slots across shards.
@@ -321,12 +444,11 @@ impl ShardGroup {
         &self,
         label: impl Fn(Region) -> Region,
     ) -> Vec<RegionOccupancy> {
-        let geometry = self.geometry();
-        let mut regions: Vec<RegionOccupancy> = (0..geometry.num_batches())
+        let mut regions: Vec<RegionOccupancy> = (0..self.geometry().num_batches())
             .map(|batch| {
                 RegionOccupancy::new(
                     label(Region::Batch(batch)),
-                    geometry.batch_len(batch) * self.shards.len(),
+                    self.batch_capacity(batch),
                     self.batch_occupancy(batch),
                 )
             })
@@ -343,217 +465,13 @@ impl ShardGroup {
     }
 }
 
-/// The storage behind one epoch cell.
-#[derive(Debug)]
-pub(crate) enum CellBackend {
-    /// One flat probing core (the default, `shard_group == 0`).
-    Flat(ProbeCore),
-    /// `⌈C / g⌉` cache-padded cores with sticky home routing and stealing.
-    Sharded(ShardGroup),
-}
-
-impl CellBackend {
-    /// Materializes the backend for an epoch of bound `contention`, built
-    /// from the shared base configuration.  `shard_group == 0` yields a
-    /// flat core; otherwise a [`ShardGroup`] of `⌈C / g⌉` shards.
-    pub(crate) fn build(base: &LevelArrayConfig, contention: usize) -> Result<Self, ConfigError> {
-        let sized = base.clone().with_contention(contention);
-        match base.shard_group_value() {
-            0 => Ok(CellBackend::Flat(sized.validate()?.into_probe_core())),
-            group => {
-                let shards = contention.div_ceil(group).max(1);
-                Ok(CellBackend::Sharded(ShardGroup::build(&sized, shards)?))
-            }
-        }
-    }
-
-    /// Number of shard cores (1 for a flat backend).
-    pub(crate) fn num_shards(&self) -> usize {
-        match self {
-            CellBackend::Flat(_) => 1,
-            CellBackend::Sharded(g) => g.num_shards(),
-        }
-    }
-
-    /// The stride of the dense in-cell namespace (a flat backend's full
-    /// capacity).
-    pub(crate) fn shard_capacity(&self) -> usize {
-        match self {
-            CellBackend::Flat(core) => core.capacity(),
-            CellBackend::Sharded(g) => g.shard_capacity(),
-        }
-    }
-
-    /// Total slots across all shards.
-    pub(crate) fn capacity(&self) -> usize {
-        match self {
-            CellBackend::Flat(core) => core.capacity(),
-            CellBackend::Sharded(g) => g.capacity(),
-        }
-    }
-
-    /// The per-shard batch layout (a flat backend's own geometry).
-    pub(crate) fn geometry(&self) -> &BatchGeometry {
-        match self {
-            CellBackend::Flat(core) => core.geometry(),
-            CellBackend::Sharded(g) => g.geometry(),
-        }
-    }
-
-    /// The full deterministic probe budget of a failed `Get` (every shard
-    /// exhausted, backups included).
-    pub(crate) fn exhausted_probe_count(&self) -> u32 {
-        match self {
-            CellBackend::Flat(core) => core.exhausted_probe_count(),
-            CellBackend::Sharded(g) => g.exhausted_probe_count(),
-        }
-    }
-
-    /// The paper's `Get` over this backend: flat runs it directly; sharded
-    /// routes to `home` (already reduced modulo the shard count by the
-    /// caller's topology mapping) through [`ShardGroup::try_get`].  Returns
-    /// an acquisition whose name is dense in the cell's namespace.
-    pub(crate) fn try_get<R: RandomSource + ?Sized>(
-        &self,
-        rng: &mut R,
-        home: usize,
-    ) -> Option<Acquired> {
-        match self {
-            CellBackend::Flat(core) => core.try_get(rng),
-            CellBackend::Sharded(g) => g.try_get(rng, home),
-        }
-    }
-
-    /// The batched `Get` over this backend (see [`ProbeCore::try_get_many`]
-    /// and [`ShardGroup::try_get_many`]).  Appended names are dense in the
-    /// cell's namespace.
-    pub(crate) fn try_get_many<R: RandomSource + ?Sized>(
-        &self,
-        rng: &mut R,
-        home: usize,
-        k: usize,
-        probes: &mut u32,
-        out: &mut Vec<Acquired>,
-    ) -> usize {
-        match self {
-            CellBackend::Flat(core) => core.try_get_many(rng, k, probes, out),
-            CellBackend::Sharded(g) => g.try_get_many(rng, home, k, probes, out),
-        }
-    }
-
-    /// The batched `Free` of dense in-cell names; checks every name before
-    /// it releases any.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range index or a double free.
-    pub(crate) fn free_many(&self, names: &[Name]) {
-        match self {
-            CellBackend::Flat(core) => core.free_many(names),
-            CellBackend::Sharded(g) => g.free_many(names),
-        }
-    }
-
-    /// Splits a dense in-cell index into `(shard core, local name)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range.
-    fn locate(&self, dense: Name) -> (&ProbeCore, Name) {
-        match self {
-            CellBackend::Flat(core) => (core, dense),
-            CellBackend::Sharded(g) => g.locate(dense),
-        }
-    }
-
-    /// Releases a dense in-cell slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range index or a double free.
-    pub(crate) fn free(&self, dense: Name) {
-        let (core, local) = self.locate(dense);
-        core.free(local);
-    }
-
-    /// One test-and-set on the hinted dense slot (see
-    /// [`ProbeCore::hint_acquire`]); stale hints are rejected, never panic.
-    pub(crate) fn hint_acquire(&self, dense: Name) -> Option<Acquired> {
-        match self {
-            CellBackend::Flat(core) => core.hint_acquire(dense),
-            CellBackend::Sharded(g) => g.hint_acquire(dense),
-        }
-    }
-
-    /// Directly occupies a dense in-cell slot (test/experiment hook).
-    pub(crate) fn force_occupy(&self, dense: Name) -> bool {
-        let (core, local) = self.locate(dense);
-        core.force_occupy(local)
-    }
-
-    /// Whether a dense in-cell slot is currently held.
-    pub(crate) fn is_held(&self, dense: Name) -> bool {
-        let (core, local) = self.locate(dense);
-        core.is_held(local)
-    }
-
-    /// Whether any slot of any shard is held (the drained check).
-    pub(crate) fn any_held(&self) -> bool {
-        match self {
-            CellBackend::Flat(core) => core.any_held(),
-            CellBackend::Sharded(g) => g.any_held(),
-        }
-    }
-
-    /// Visits every held slot's dense in-cell index.
-    pub(crate) fn for_each_held(&self, f: impl FnMut(usize)) {
-        match self {
-            CellBackend::Flat(core) => core.for_each_held(f),
-            CellBackend::Sharded(g) => g.for_each_held(f),
-        }
-    }
-
-    /// Held slots in batch `i`, summed across shards.
-    pub(crate) fn batch_occupancy(&self, i: usize) -> usize {
-        match self {
-            CellBackend::Flat(core) => core.batch_occupancy(i),
-            CellBackend::Sharded(g) => g.batch_occupancy(i),
-        }
-    }
-
-    /// Capacity of batch `i`, summed across shards.
-    pub(crate) fn batch_capacity(&self, i: usize) -> usize {
-        self.geometry().batch_len(i) * self.num_shards()
-    }
-
-    /// Total backup slots across shards.
-    pub(crate) fn backup_capacity(&self) -> usize {
-        match self {
-            CellBackend::Flat(core) => core.backup_len(),
-            CellBackend::Sharded(g) => g.backup_capacity(),
-        }
-    }
-
-    /// Held backup slots, summed across shards.
-    pub(crate) fn backup_occupancy(&self) -> usize {
-        match self {
-            CellBackend::Flat(core) => core.backup_occupancy(),
-            CellBackend::Sharded(g) => g.backup_occupancy(),
-        }
-    }
-
-    /// The cell's census as labelled regions (one per batch plus one backup
-    /// region, whatever the shard count — see
-    /// [`ShardGroup::region_occupancies`]), relabelled through `label` — the
-    /// hook the elastic census uses to tag regions with the epoch id.
-    pub(crate) fn region_occupancies(
-        &self,
-        label: impl Fn(Region) -> Region,
-    ) -> Vec<RegionOccupancy> {
-        match self {
-            CellBackend::Flat(core) => core.region_occupancies(label),
-            CellBackend::Sharded(g) => g.region_occupancies(label),
-        }
+/// The shard after `shard` in a ring of `num_shards`, without a division.
+#[inline]
+fn next_shard(shard: usize, num_shards: usize) -> usize {
+    if shard + 1 == num_shards {
+        0
+    } else {
+        shard + 1
     }
 }
 
@@ -563,14 +481,20 @@ mod tests {
     use larng::default_rng;
     use std::collections::HashSet;
 
-    fn sharded_backend(n: usize, group: usize) -> CellBackend {
-        CellBackend::build(&LevelArrayConfig::new(n).shard_group(group), n).unwrap()
+    fn sharded_backend(n: usize, group: usize) -> ShardGroup {
+        ShardGroup::for_epoch(&LevelArrayConfig::new(n).shard_group(group), n).unwrap()
+    }
+
+    /// A one-shard group (a flat epoch) and a bare core of the same bound.
+    fn flat_pair(n: usize) -> (ShardGroup, ProbeCore) {
+        let config = LevelArrayConfig::new(n);
+        let group = ShardGroup::for_epoch(&config, n).unwrap();
+        (group, config.validate().unwrap().into_probe_core())
     }
 
     #[test]
     fn zero_group_builds_flat() {
-        let backend = CellBackend::build(&LevelArrayConfig::new(16), 16).unwrap();
-        assert!(matches!(backend, CellBackend::Flat(_)));
+        let backend = ShardGroup::for_epoch(&LevelArrayConfig::new(16), 16).unwrap();
         assert_eq!(backend.num_shards(), 1);
         assert_eq!(backend.capacity(), 16 * 2 + 16);
         assert_eq!(backend.shard_capacity(), backend.capacity());
@@ -583,9 +507,7 @@ mod tests {
         assert_eq!(backend.num_shards(), 4);
         assert_eq!(backend.shard_capacity(), 16 * 2 + 16);
         assert_eq!(backend.capacity(), 4 * 48);
-        // A contention no bigger than the group stays single-shard (but
-        // still cache-padded — the sharded representation is kept so a
-        // doubled successor's layout is the same shape).
+        // A contention no bigger than the group stays single-shard.
         let small = sharded_backend(8, 16);
         assert_eq!(small.num_shards(), 1);
         // Uneven splits round the shard bound up.
@@ -688,10 +610,7 @@ mod tests {
             got.name().index() >= backend.shard_capacity(),
             "must have stolen from shard 1"
         );
-        let shard0_budget = match &backend {
-            CellBackend::Sharded(g) => g.core(0).exhausted_probe_count(),
-            CellBackend::Flat(_) => unreachable!(),
-        };
+        let shard0_budget = backend.core(0).exhausted_probe_count();
         assert!(got.probes() > shard0_budget);
         // And the whole-backend exhausted budget is the sum over shards.
         assert_eq!(
@@ -699,5 +618,130 @@ mod tests {
             shard0_budget * 2,
             "both shards share one sizing, so the budget doubles"
         );
+    }
+
+    #[test]
+    fn ring_walks_wrap_from_the_last_shard_to_the_first() {
+        // Home 2 with every shard but 1 full: both walks must visit the
+        // shards after the home, wrap past the end to shard 0 and land in
+        // shard 1, charged the full budget of every shard they skipped.
+        for (n, full) in [(24, &[2, 0][..]), (32, &[2, 3, 0][..])] {
+            let backend = sharded_backend(n, 8);
+            assert_eq!(backend.num_shards(), full.len() + 1);
+            let cap = backend.shard_capacity();
+            for &shard in full {
+                for local in 0..cap {
+                    assert!(backend.force_occupy(Name::new(shard * cap + local)));
+                }
+            }
+            let skipped: u32 = full
+                .iter()
+                .map(|&shard| backend.core(shard).exhausted_probe_count())
+                .sum();
+            let mut rng = default_rng(11);
+            let got = backend.try_get(&mut rng, 2).expect("shard 1 is empty");
+            assert_eq!(got.name().index() / cap, 1, "landed in {}", got.name());
+            assert!(got.probes() > skipped);
+
+            let mut probes = 0;
+            let mut out = Vec::new();
+            assert_eq!(
+                backend.try_get_many(&mut rng, 2, 4, &mut probes, &mut out),
+                4
+            );
+            for won in &out {
+                assert_eq!(won.name().index() / cap, 1, "landed in {}", won.name());
+                assert!(won.probes() > skipped);
+            }
+        }
+    }
+
+    #[test]
+    fn one_shard_group_behaves_like_the_bare_core() {
+        let (group, core) = flat_pair(16);
+        assert_eq!(group.capacity(), core.capacity());
+        let names = [Name::new(0), Name::new(5), Name::new(core.main_len() + 1)];
+        for &name in &names {
+            assert_eq!(group.force_occupy(name), core.force_occupy(name));
+            assert_eq!(group.force_occupy(name), core.force_occupy(name));
+        }
+        for index in 0..core.capacity() {
+            let name = Name::new(index);
+            assert_eq!(group.is_held(name), core.is_held(name), "slot {index}");
+        }
+        group.free(names[0]);
+        core.free(names[0]);
+        group.free_many(&names[1..]);
+        core.free_many(&names[1..]);
+        assert!(!group.any_held() && !core.any_held());
+        // The hint wins the same slot with the same report, and a held,
+        // tagged or out-of-range hint misses on both.
+        for name in [names[1], names[2]] {
+            assert_eq!(group.hint_acquire(name), core.hint_acquire(name));
+            assert_eq!(group.hint_acquire(name), core.hint_acquire(name));
+        }
+        for stale in [Name::with_epoch(1, 0), Name::new(core.capacity())] {
+            assert_eq!(group.hint_acquire(stale), None);
+            assert_eq!(core.hint_acquire(stale), None);
+        }
+        // Names from a one-shard group's Gets are already dense.
+        let mut rng = default_rng(13);
+        let got = group.try_get(&mut rng, 0).expect("empty group");
+        assert!(group.is_held(got.name()));
+        let mut probes = 0;
+        let mut out = Vec::new();
+        assert_eq!(group.try_get_many(&mut rng, 0, 3, &mut probes, &mut out), 3);
+        let mut collected = Vec::new();
+        group.collect_into(&mut collected);
+        let mut expected: Vec<Name> = out.iter().map(|a| a.name()).collect();
+        expected.extend([names[1], names[2], got.name()]);
+        expected.sort_unstable();
+        assert_eq!(collected, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch-0")]
+    fn one_shard_free_rejects_a_tagged_name() {
+        let (group, _) = flat_pair(8);
+        assert!(group.force_occupy(Name::new(0)));
+        group.free(Name::with_epoch(1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn one_shard_free_rejects_an_out_of_range_name() {
+        let (group, _) = flat_pair(8);
+        group.free(Name::new(group.capacity()));
+    }
+
+    #[test]
+    #[should_panic(expected = "double free")]
+    fn one_shard_free_rejects_a_double_free() {
+        let (group, _) = flat_pair(8);
+        group.free(Name::new(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch-0")]
+    fn one_shard_free_many_rejects_a_tagged_name() {
+        let (group, _) = flat_pair(8);
+        assert!(group.force_occupy(Name::new(0)));
+        group.free_many(&[Name::new(0), Name::with_epoch(1, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn one_shard_free_many_rejects_an_out_of_range_name() {
+        let (group, _) = flat_pair(8);
+        assert!(group.force_occupy(Name::new(0)));
+        group.free_many(&[Name::new(0), Name::new(group.capacity())]);
+    }
+
+    #[test]
+    #[should_panic(expected = "double free")]
+    fn one_shard_free_many_rejects_a_double_free() {
+        let (group, _) = flat_pair(8);
+        assert!(group.force_occupy(Name::new(0)));
+        group.free_many(&[Name::new(0), Name::new(0)]);
     }
 }

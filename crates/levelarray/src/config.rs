@@ -3,8 +3,8 @@
 //! The defaults reproduce the configuration benchmarked in the paper (§6):
 //! a main array of `2n` slots, first batch `3n/2`, **one** probe per batch, a
 //! backup array of `n` slots, and compare-and-swap as the test-and-set
-//! primitive.  Every knob called out in DESIGN.md §7 ("design decisions for
-//! ablation") is exposed here.
+//! primitive.  Every knob the ablations vary (the README's "Configuration
+//! knobs" table) is exposed here.
 
 use std::fmt;
 
@@ -171,10 +171,10 @@ pub const DEFAULT_STUCK_PIN_THRESHOLD_MS: u64 = 1000;
 /// [`LevelArrayConfig::hierarchical`]: the per-group contention bound at
 /// which an elastic epoch splits into one more cache-padded shard.  Picked
 /// from the `bench-topology` shard-scaling sweep (see
-/// `bench/baselines/smoke.json`, the `sweeps/hier/*` cells): groups of 64
-/// keep each shard's hot batch-0 lines private to a handful of threads
-/// while leaving the per-shard arrays large enough that the paper's O(1)
-/// expected probing is undisturbed.
+/// `bench/baselines/smoke.json`, the `sweeps/topology/group=*` cells):
+/// groups of 64 keep each shard's hot batch-0 lines private to a handful of
+/// threads while leaving the per-shard arrays large enough that the paper's
+/// O(1) expected probing is undisturbed.
 pub const DEFAULT_SHARD_GROUP: usize = 64;
 
 /// The committed default shrink watermark for

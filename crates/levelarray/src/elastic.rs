@@ -129,7 +129,7 @@ use std::sync::atomic::{
 use larng::RandomSource;
 
 use crate::array::{Acquired, ActivityArray};
-use crate::backend::CellBackend;
+use crate::backend::ShardGroup;
 use crate::config::{ConfigError, GrowthPolicy, LevelArrayConfig};
 use crate::epoch_chain::{now_ms, ChainNode, ChainPin, EpochChain};
 use crate::geometry::BatchGeometry;
@@ -155,7 +155,7 @@ fn stripe_counters(stripes: usize) -> Box<[Padded<AtomicUsize>]> {
 /// [`ElasticLevelArray::note_shrink_sample`]).
 const SHRINK_SAMPLE_STRIDE: usize = 16;
 
-/// One generation of the elastic chain: a storage backend plus its identity.
+/// One generation of the elastic chain: a shard group plus its identity.
 struct EpochCell {
     /// The epoch tag carried by every name this cell hands out.  Tags are
     /// assigned monotonically and never reused.
@@ -175,14 +175,14 @@ struct EpochCell {
     /// new registrations (the fallback `Get` walk skips it) until it is
     /// either unlinked or unsealed.
     sealed: AtomicBool,
-    /// The cell's storage: one flat probing core, or — under
-    /// [`LevelArrayConfig::shard_group`] — a group of cache-padded shard
-    /// cores with a dense in-cell namespace (see [`CellBackend`]).
-    backend: CellBackend,
+    /// The cell's storage: a [`ShardGroup`] with a dense in-cell namespace,
+    /// of one shard for a flat epoch and of `⌈C / g⌉` shards under
+    /// [`LevelArrayConfig::shard_group`] `g` (see [`ShardGroup::for_epoch`]).
+    backend: ShardGroup,
 }
 
 impl EpochCell {
-    fn new(epoch: usize, contention: usize, backend: CellBackend, stripes: usize) -> Self {
+    fn new(epoch: usize, contention: usize, backend: ShardGroup, stripes: usize) -> Self {
         EpochCell {
             epoch,
             contention,
@@ -445,7 +445,7 @@ impl ElasticLevelArray {
     ) -> Result<Self, ConfigError> {
         config.validate()?;
         let contention = config.max_concurrency_value();
-        let backend = CellBackend::build(config, contention)?;
+        let backend = ShardGroup::for_epoch(config, contention)?;
         let stripes = config.pin_stripes_value();
         let cell = Arc::new(EpochCell::new(0, contention, backend, stripes));
         Ok(ElasticLevelArray {
@@ -653,7 +653,7 @@ impl ElasticLevelArray {
     /// monomorphized over the caller's random source.  The whole batch runs
     /// under ONE chain pin with one hint consult and one epoch-routing pass
     /// per cell visited: the newest epoch serves the batch through its
-    /// batched kernel (`CellBackend::try_get_many`), saturation opens a
+    /// batched kernel (`ShardGroup::try_get_many`), saturation opens a
     /// successor exactly like the singleton path, and at the growth cap the
     /// remainder spills into the older epochs newest-to-oldest.  Every win
     /// is epoch-tagged, each cell's slice is added to that cell's held
@@ -1258,7 +1258,7 @@ impl ElasticLevelArray {
         if epoch > Name::MAX_EPOCH {
             return None;
         }
-        let backend = CellBackend::build(&self.base, contention)
+        let backend = ShardGroup::for_epoch(&self.base, contention)
             .expect("a resized elastic configuration stays valid");
         let cell = Arc::new(EpochCell::new(
             epoch,
@@ -1535,7 +1535,7 @@ impl ActivityArray for ElasticLevelArray {
     /// lookup) per epoch *run* cover the whole batch.  [`Name`]'s derived
     /// ordering is epoch-major, so a single sort groups the names into
     /// per-epoch runs; each run strips its tags and releases through the
-    /// owning cell's bulk kernel (`CellBackend::free_many`), with one held
+    /// owning cell's bulk kernel (`ShardGroup::free_many`), with one held
     /// counter decrement per run.  A draining batch schedules a single
     /// deferred retirement check after the pin drops, exactly like the
     /// singleton [`ActivityArray::free`].

@@ -367,8 +367,7 @@ impl ShardedLevelArray {
     /// Panics if `name` is out of range.
     #[must_use = "a false return means the slot was already held; ignoring it leaks the intent"]
     pub fn force_occupy(&self, name: Name) -> bool {
-        let (core, local) = self.group.locate(name);
-        core.force_occupy(local)
+        self.group.force_occupy(name)
     }
 
     /// Reads whether a specific global slot is currently held.
@@ -377,8 +376,7 @@ impl ShardedLevelArray {
     ///
     /// Panics if `name` is out of range.
     pub fn is_held(&self, name: Name) -> bool {
-        let (core, local) = self.group.locate(name);
-        core.is_held(local)
+        self.group.is_held(name)
     }
 
     /// Whether the global `name` lies in some shard's backup array.
@@ -412,8 +410,7 @@ impl ActivityArray for ShardedLevelArray {
     }
 
     fn free(&self, name: Name) {
-        let (core, local) = self.group.locate(name);
-        core.free(local);
+        self.group.free(name);
         if self.free_hint {
             crate::hint::record(self.array_id, name);
         }

@@ -1,5 +1,5 @@
-//! Empirical validation of the paper's theoretical claims (DESIGN.md
-//! experiments THEORY-BALANCE and THEORY-HEALING).
+//! Empirical validation of the paper's theoretical claims: the balance
+//! definitions of §5 and the self-healing of §5.2.
 //!
 //! These are not statistical proofs — they check that, at laptop scale and
 //! with fixed seeds, the quantities the theorems talk about behave the way the
