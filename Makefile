@@ -145,8 +145,18 @@ perf-ab:
 
 # Model-checked interleavings of the innermost slot representations and the
 # layout-conformance seam (the suites shrink their case counts under
-# cfg(miri)).  Needs the nightly toolchain with the miri component:
+# cfg(miri)); CI's miri job runs this target.  Needs the nightly toolchain
+# with the miri component:
 #   rustup toolchain install nightly --component miri
+# In order: the slot/packed/probe-core/hint/shrink unit tests; the
+# epoch-chain unit tests (the lock-free chain's Arc provenance discipline —
+# head CAS, raw push/remove bookkeeping, garbage stack — under strict
+# provenance; the storm tests shrink their thread/round counts under
+# cfg(miri)); the layout-conformance and free-hint suites; the Treiber-stack
+# reclamation client (push/pop retire nodes through the domain while racing
+# threads still dereference them — the canonical use-after-free surface);
+# the flat-combining engine (the combiner-lock publication-list protocol,
+# including the batched registration seam its sessions claim slots through).
 miri:
 	$(CARGO) +nightly miri test -p levelarray --lib -- slot:: packed:: probe_core:: hint:: shrink
 	$(CARGO) +nightly miri test -p levelarray --lib -- epoch_chain::
@@ -162,7 +172,8 @@ miri:
 # allows for non-SeqCst loads — within a preemption bound.  A dedicated
 # target dir keeps the RUSTFLAGS-keyed build cache away from the normal one.
 # Knobs: LOOM_MAX_PREEMPTIONS (default 2), LOOM_MAX_DURATION_SECS (per-model
-# time budget, default 60), LOOM_MAX_EXECUTIONS, LOOM_MAX_STEPS.
+# time budget, default 60), LOOM_MAX_EXECUTIONS, LOOM_MAX_STEPS.  The last
+# line runs the model checker's own litmus self-tests.
 loom:
 	RUSTFLAGS="--cfg la_loom" CARGO_TARGET_DIR=target/loom \
 		$(CARGO) test -p levelarray --test loom_chain -- --test-threads=1 --nocapture

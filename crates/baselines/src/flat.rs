@@ -13,7 +13,6 @@ use levelarray::Name;
 pub struct FlatSlots {
     slots: Box<[Slot]>,
     max_participants: usize,
-    tas_kind: TasKind,
 }
 
 impl FlatSlots {
@@ -29,7 +28,6 @@ impl FlatSlots {
         FlatSlots {
             slots: (0..len).map(|_| Slot::new()).collect(),
             max_participants,
-            tas_kind: TasKind::CompareExchange,
         }
     }
 
@@ -54,7 +52,7 @@ impl FlatSlots {
     ///
     /// Panics if `idx` is out of range.
     pub fn try_acquire(&self, idx: usize) -> bool {
-        self.slots[idx].try_acquire(self.tas_kind)
+        self.slots[idx].try_acquire(TasKind::CompareExchange)
     }
 
     /// Whether slot `idx` is currently held.

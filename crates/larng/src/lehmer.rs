@@ -1,16 +1,11 @@
-//! Lehmer / Park–Miller multiplicative congruential generators.
+//! The Lehmer / Park–Miller multiplicative congruential generator.
 //!
 //! The paper's implementation (§6) alternates between the Marsaglia generator
 //! and the "Park-Miller (Lehmer)" generator and reports identical results.
-//! Two variants are provided:
-//!
-//! * [`MinStd`] — the classic Park–Miller *minimal standard* generator:
-//!   `x ← 48271·x mod (2³¹ − 1)`.  Exactly the generator the paper names; its
-//!   statistical quality is mediocre by modern standards but entirely adequate
-//!   for choosing probe slots.
-//! * [`Lehmer64`] — the modern 128-bit-state Lehmer generator
-//!   (`state ← state · 0xda942042e4dd58b5`, output = high 64 bits), which is
-//!   one of the fastest high-quality generators on 64-bit hardware.
+//! [`MinStd`] is the classic Park–Miller *minimal standard* generator:
+//! `x ← 48271·x mod (2³¹ − 1)`.  Exactly the generator the paper names; its
+//! statistical quality is mediocre by modern standards but entirely adequate
+//! for choosing probe slots.
 
 use crate::{RandomSource, SplitMix64};
 
@@ -96,49 +91,6 @@ impl Default for MinStd {
     }
 }
 
-/// 128-bit-state Lehmer generator (MCG128), output = high 64 bits of the state.
-///
-/// # Examples
-///
-/// ```
-/// use larng::{Lehmer64, RandomSource};
-/// let mut rng = Lehmer64::seed_from_u64(1);
-/// assert!(rng.gen_below(1000) < 1000);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Lehmer64 {
-    state: u128,
-}
-
-const LEHMER64_MULTIPLIER: u128 = 0xda94_2042_e4dd_58b5;
-
-impl Lehmer64 {
-    /// Creates a generator from a 64-bit seed (expanded to an odd 128-bit
-    /// state via SplitMix64, as recommended by the generator's author).
-    pub fn seed_from_u64(seed: u64) -> Self {
-        let mut seeder = SplitMix64::seed_from_u64(seed);
-        let hi = seeder.next_u64() as u128;
-        let lo = seeder.next_u64() as u128;
-        // The state must be odd to stay on the maximal cycle of the MCG.
-        Self {
-            state: (hi << 64) | lo | 1,
-        }
-    }
-}
-
-impl RandomSource for Lehmer64 {
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_mul(LEHMER64_MULTIPLIER);
-        (self.state >> 64) as u64
-    }
-}
-
-impl Default for Lehmer64 {
-    fn default() -> Self {
-        Self::seed_from_u64(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,34 +159,6 @@ mod tests {
         let mean = draws as f64 / 8.0;
         for &b in &buckets {
             assert!((b as f64 - mean).abs() < mean * 0.2);
-        }
-    }
-
-    #[test]
-    fn lehmer64_distinct_seeds_distinct_streams() {
-        let mut a = Lehmer64::seed_from_u64(1);
-        let mut b = Lehmer64::seed_from_u64(2);
-        assert_ne!(
-            (0..8).map(|_| a.next_u64()).collect::<Vec<_>>(),
-            (0..8).map(|_| b.next_u64()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn lehmer64_no_short_cycles() {
-        let mut rng = Lehmer64::seed_from_u64(9);
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..50_000 {
-            assert!(seen.insert(rng.next_u64()));
-        }
-    }
-
-    #[test]
-    fn lehmer64_determinism() {
-        let mut a = Lehmer64::seed_from_u64(13);
-        let mut b = Lehmer64::seed_from_u64(13);
-        for _ in 0..64 {
-            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 }

@@ -3,9 +3,10 @@
 //!
 //! The paper's implementation section (§6) states that the authors used the
 //! *Marsaglia* (xorshift) and *Park–Miller / Lehmer* generators interchangeably
-//! and observed no difference in results.  This crate provides both, plus two
-//! modern small generators ([`SplitMix64`], [`Pcg32`]) that are convenient for
-//! seeding and for property tests.
+//! and observed no difference in results.  This crate provides both
+//! ([`Xorshift64Star`] and [`MinStd`]), plus two modern small generators
+//! ([`SplitMix64`], [`Pcg32`]) that are convenient for seeding and for
+//! property tests.
 //!
 //! Everything in this crate is deterministic given a seed, allocation-free, and
 //! depends only on `std` (and only for the optional entropy helpers).  The
@@ -35,7 +36,7 @@ pub mod source;
 pub mod splitmix;
 pub mod xorshift;
 
-pub use lehmer::{Lehmer64, MinStd};
+pub use lehmer::MinStd;
 pub use mock::{CountingRng, SequenceRng};
 pub use pcg::Pcg32;
 pub use seed::{entropy_seed, SeedSequence};

@@ -1,8 +1,7 @@
 //! Property-based tests for the `larng` crate.
 
 use larng::{
-    CountingRng, Lehmer64, MinStd, Pcg32, RandomSource, SeedSequence, SequenceRng, SplitMix64,
-    Xorshift64Star,
+    CountingRng, MinStd, Pcg32, RandomSource, SeedSequence, SequenceRng, SplitMix64, Xorshift64Star,
 };
 use proptest::prelude::*;
 
@@ -10,7 +9,6 @@ use proptest::prelude::*;
 fn for_each_generator(seed: u64, mut f: impl FnMut(&mut dyn RandomSource, &'static str)) {
     f(&mut Xorshift64Star::seed_from_u64(seed), "xorshift64*");
     f(&mut MinStd::seed_from_u64(seed), "minstd");
-    f(&mut Lehmer64::seed_from_u64(seed), "lehmer64");
     f(&mut SplitMix64::seed_from_u64(seed), "splitmix64");
     f(&mut Pcg32::seed_from_u64(seed), "pcg32");
 }

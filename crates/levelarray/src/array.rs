@@ -8,6 +8,8 @@
 //! *not* an atomic snapshot).  All methods take `&self` — implementations are
 //! internally synchronized and wait-free.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
 use larng::RandomSource;
 
 use crate::name::Name;
@@ -195,6 +197,29 @@ pub trait ActivityArray: Send + Sync + std::fmt::Debug {
 
     /// A per-region census of held slots (see [`OccupancySnapshot`]).
     fn occupancy(&self) -> OccupancySnapshot;
+}
+
+/// Runs `batch`, a batched `Get` that appends its wins to `out`, and keeps
+/// the batch all-or-nothing: if `batch` unwinds — an injected fault, or a
+/// panic from the caller's random source — every entry it appended is
+/// drained from `out` and released through `free` before the unwind
+/// resumes, so `out` is back at its old length and nothing leaks.
+pub(crate) fn all_or_nothing<T>(
+    out: &mut Vec<Acquired>,
+    batch: impl FnOnce(&mut Vec<Acquired>) -> T,
+    free: impl Fn(Name),
+) -> T {
+    let before = out.len();
+    match catch_unwind(AssertUnwindSafe(|| batch(&mut *out))) {
+        Ok(result) => result,
+        Err(payload) => {
+            let _quiet = la_fault::suppress();
+            for got in out.drain(before..) {
+                free(got.name());
+            }
+            resume_unwind(payload)
+        }
+    }
 }
 
 /// An RAII registration: acquires a name on construction and frees it on drop.

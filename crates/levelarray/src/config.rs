@@ -9,7 +9,7 @@
 use std::fmt;
 
 use crate::balance::BalanceReport;
-use crate::geometry::{BatchGeometry, GeometryError};
+use crate::geometry::BatchGeometry;
 use crate::occupancy::OccupancySnapshot;
 use crate::slot::{SlotLayout, TasKind};
 
@@ -146,7 +146,6 @@ impl GrowthPolicy {
 pub struct LevelArrayConfig {
     max_concurrency: usize,
     space_factor: f64,
-    first_batch_fraction: f64,
     probe_policy: ProbePolicy,
     backup: bool,
     tas_kind: TasKind,
@@ -157,7 +156,6 @@ pub struct LevelArrayConfig {
     free_hint: bool,
     shard_group: usize,
     shrink_watermark: Option<f64>,
-    lease_ms: Option<u64>,
     stuck_pin_threshold_ms: u64,
 }
 
@@ -193,7 +191,6 @@ impl LevelArrayConfig {
         LevelArrayConfig {
             max_concurrency,
             space_factor: 2.0,
-            first_batch_fraction: BatchGeometry::DEFAULT_FIRST_FRACTION,
             probe_policy: ProbePolicy::default(),
             backup: true,
             tas_kind: TasKind::default(),
@@ -204,7 +201,6 @@ impl LevelArrayConfig {
             free_hint: false,
             shard_group: 0,
             shrink_watermark: None,
-            lease_ms: None,
             stuck_pin_threshold_ms: DEFAULT_STUCK_PIN_THRESHOLD_MS,
         }
     }
@@ -221,12 +217,6 @@ impl LevelArrayConfig {
     /// evaluation uses values in `[2, 4]`; the algorithm requires `> 1`).
     pub fn space_factor(mut self, factor: f64) -> Self {
         self.space_factor = factor;
-        self
-    }
-
-    /// Sets the fraction of the main array given to batch 0 (paper: 3/4).
-    pub fn first_batch_fraction(mut self, fraction: f64) -> Self {
-        self.first_batch_fraction = fraction;
         self
     }
 
@@ -346,25 +336,6 @@ impl LevelArrayConfig {
         self.shrink_watermark
     }
 
-    /// Enables the heartbeat/lease layer with the given lease duration: a
-    /// [`crate::lease::LeaseRegistry`] built from this configuration
-    /// quarantines names whose holder has not heartbeat within `lease_ms`
-    /// milliseconds, and reclaims them one sweep later (see
-    /// `docs/ROBUSTNESS.md`).  Off by default — the lease layer costs one
-    /// map entry and one timestamp store per heartbeat, and most
-    /// deployments have supervised clients that never crash-leak.  A value
-    /// of `0` is treated as disabled.
-    #[must_use = "builder methods return the updated configuration"]
-    pub fn lease_ms(mut self, lease_ms: u64) -> Self {
-        self.lease_ms = if lease_ms == 0 { None } else { Some(lease_ms) };
-        self
-    }
-
-    /// The lease duration, if the heartbeat/lease layer is enabled.
-    pub fn lease_ms_value(&self) -> Option<u64> {
-        self.lease_ms
-    }
-
     /// Sets the stuck-pin watchdog threshold (default
     /// [`DEFAULT_STUCK_PIN_THRESHOLD_MS`]): when an elastic array's
     /// retirement grace observation fails *and* the oldest active chain pin
@@ -469,8 +440,8 @@ impl LevelArrayConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if `n == 0`, the space factor is not a finite
-    /// value `≥ 1`, the first-batch fraction is outside `(0, 1)`, or the probe
-    /// policy asks for zero probes.
+    /// value `≥ 1`, the probe policy asks for zero probes, or an elastic knob
+    /// (growth policy, pin stripes, shrink watermark) is out of range.
     pub fn validate(&self) -> Result<ValidatedConfig, ConfigError> {
         if self.max_concurrency == 0 {
             return Err(ConfigError::ZeroConcurrency);
@@ -489,8 +460,9 @@ impl LevelArrayConfig {
             }
         }
 
-        let geometry = BatchGeometry::new(self.main_len(), self.first_batch_fraction)
-            .map_err(ConfigError::Geometry)?;
+        // The paper's batch layout: batch 0 takes 3/4 of the main array.
+        let geometry = BatchGeometry::new(self.main_len(), BatchGeometry::DEFAULT_FIRST_FRACTION)
+            .expect("a main array of at least one slot splits at the default fraction");
         let backup_len = if self.backup { self.max_concurrency } else { 0 };
 
         Ok(ValidatedConfig {
@@ -576,8 +548,6 @@ pub enum ConfigError {
     ZeroProbes,
     /// A per-batch probe policy was given an empty vector.
     EmptyProbeVector,
-    /// The derived geometry was invalid (bad first-batch fraction).
-    Geometry(GeometryError),
     /// A sharded build was requested with zero shards.
     ZeroShards,
     /// An elastic growth policy allowed zero live epochs.
@@ -599,7 +569,6 @@ impl fmt::Display for ConfigError {
             ConfigError::EmptyProbeVector => {
                 write!(f, "per-batch probe policy needs at least one entry")
             }
-            ConfigError::Geometry(e) => write!(f, "invalid geometry: {e}"),
             ConfigError::ZeroShards => write!(f, "a sharded array needs at least one shard"),
             ConfigError::ZeroEpochs => {
                 write!(f, "an elastic growth policy needs at least one live epoch")
@@ -617,20 +586,7 @@ impl fmt::Display for ConfigError {
     }
 }
 
-impl std::error::Error for ConfigError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ConfigError::Geometry(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<GeometryError> for ConfigError {
-    fn from(e: GeometryError) -> Self {
-        ConfigError::Geometry(e)
-    }
-}
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {
@@ -730,10 +686,10 @@ mod tests {
         );
         assert!(matches!(
             LevelArrayConfig::new(4)
-                .first_batch_fraction(1.5)
+                .shrink_watermark(1.5)
                 .validate()
                 .unwrap_err(),
-            ConfigError::Geometry(_)
+            ConfigError::InvalidShrinkWatermark(_)
         ));
     }
 
@@ -750,9 +706,7 @@ mod tests {
     #[test]
     fn error_display_and_source() {
         use std::error::Error;
-        let e = ConfigError::Geometry(GeometryError::EmptyArray);
-        assert!(e.to_string().contains("geometry"));
-        assert!(e.source().is_some());
+        assert!(ConfigError::EmptyProbeVector.to_string().contains("entry"));
         assert!(ConfigError::ZeroConcurrency.source().is_none());
         assert!(ConfigError::InvalidSpaceFactor(0.1)
             .to_string()

@@ -14,7 +14,11 @@
 //!   [`GrowthPolicy::Doubling`] it opens a new epoch of twice the contention
 //!   bound and retries; once the chain is at its `max_epochs` bound (or under
 //!   [`GrowthPolicy::Fixed`]) it falls back to walking the older epochs,
-//!   newest to oldest, before giving up.
+//!   newest to oldest, before giving up.  This routing is written once, as
+//!   `walk`: the singleton `try_get` and the batched `get_many` each hand it
+//!   a closure that serves one cell — one `Get`, or as much of the batch's
+//!   remainder as the cell's batched kernel wins — and sealed cells are
+//!   never served.
 //! * **`Free` returns the slot to the epoch named in its tag** — the
 //!   [`Name`] encoding carries `(epoch, index)`, so releases route without
 //!   any lookup table.
@@ -133,6 +137,7 @@ use crate::backend::ShardGroup;
 use crate::config::{ConfigError, GrowthPolicy, LevelArrayConfig};
 use crate::epoch_chain::{now_ms, ChainNode, ChainPin, EpochChain};
 use crate::geometry::BatchGeometry;
+use crate::hint::FreeHint;
 use crate::name::Name;
 use crate::occupancy::{OccupancySnapshot, Region, RegionOccupancy};
 use crate::robust::RobustnessReport;
@@ -328,12 +333,12 @@ pub struct ElasticLevelArray {
     growth: GrowthPolicy,
     /// Whether a draining free schedules the deferred retirement check.
     auto_retire: bool,
-    /// Process-unique identity for the per-thread Free→Get hint cache
-    /// (see [`crate::hint`]).
+    /// Process-unique identity for the sticky-token cache of hierarchical
+    /// epochs and the per-thread Free→Get hint cache (see [`crate::hint`]).
     array_id: u64,
-    /// Whether `free` arms the per-thread Free→Get hint cache
+    /// The per-thread Free→Get hint `free` arms
     /// ([`LevelArrayConfig::free_hint`]).
-    free_hint: bool,
+    hint: FreeHint,
     /// Re-arm flag for the deferred maintenance: set whenever a
     /// [`ElasticLevelArray::try_retire`] pass leaves work behind (a grace
     /// observation failed with drained candidates outstanding, or displaced
@@ -448,13 +453,14 @@ impl ElasticLevelArray {
         let backend = ShardGroup::for_epoch(config, contention)?;
         let stripes = config.pin_stripes_value();
         let cell = Arc::new(EpochCell::new(0, contention, backend, stripes));
+        let array_id = crate::hint::next_array_id();
         Ok(ElasticLevelArray {
             chain: EpochChain::with_stripes(cell, stripes),
             base: config.clone(),
             growth: config.growth_policy(),
             auto_retire: config.auto_retire_enabled(),
-            array_id: crate::hint::next_array_id(),
-            free_hint: config.free_hint_enabled(),
+            array_id,
+            hint: FreeHint::new(config.free_hint_enabled(), array_id),
             maintenance_pending: AtomicBool::new(false),
             epochs_opened: AtomicUsize::new(1),
             epochs_retired: AtomicUsize::new(0),
@@ -520,22 +526,14 @@ impl ElasticLevelArray {
 
     /// The contention bound epoch `epoch` was sized for, if it is live.
     pub fn epoch_contention(&self, epoch: usize) -> Option<usize> {
-        let pin = self.chain.pin();
-        pin.iter()
-            .map(|node| node.value())
-            .find(|c| c.epoch == epoch)
-            .map(|c| c.contention)
+        Self::find_cell(&self.chain.pin(), epoch).map(|c| c.contention)
     }
 
     /// The advisory held-slot count of epoch `epoch`, if it is live.  Exact
     /// while no operation is in flight; retirement always re-verifies with a
     /// collect snapshot.
     pub fn epoch_held(&self, epoch: usize) -> Option<usize> {
-        let pin = self.chain.pin();
-        pin.iter()
-            .map(|node| node.value())
-            .find(|c| c.epoch == epoch)
-            .map(|c| c.held_total())
+        Self::find_cell(&self.chain.pin(), epoch).map(|c| c.held_total())
     }
 
     /// The batch layout of the newest epoch's main array (per shard core,
@@ -557,11 +555,7 @@ impl ElasticLevelArray {
 
     /// Number of shard cores backing epoch `epoch`, if it is live.
     pub fn epoch_shards(&self, epoch: usize) -> Option<usize> {
-        let pin = self.chain.pin();
-        pin.iter()
-            .map(|node| node.value())
-            .find(|c| c.epoch == epoch)
-            .map(|c| c.backend.num_shards())
+        Self::find_cell(&self.chain.pin(), epoch).map(|c| c.backend.num_shards())
     }
 
     /// The shard-group size hierarchical epochs are built with (0 = flat
@@ -589,75 +583,39 @@ impl ElasticLevelArray {
 
     /// The elastic `Get`, monomorphized over the caller's random source (see
     /// [`crate::LevelArray::try_get`]): route to the newest epoch, grow on
-    /// saturation, fall back to older epochs at the cap.  This inherent
-    /// method shadows [`ActivityArray::try_get`] for callers holding the
-    /// concrete type.
+    /// saturation, fall back to older epochs at the cap (the walk the
+    /// [module documentation](self) describes).  This inherent method
+    /// shadows [`ActivityArray::try_get`] for callers holding the concrete
+    /// type.
     #[must_use = "dropping the result leaks the acquired name"]
     pub fn try_get<R: RandomSource + ?Sized>(&self, rng: &mut R) -> Option<Acquired> {
-        let mut probes = 0u32;
         let pin = self.chain.pin();
         // Post-pin, pre-win: an unwind here drops the pin (count stays
         // exact) with nothing acquired; a *pause* here is the deterministic
         // stuck pin the watchdog suites wedge retirement with.
         fail_point!("elastic::pinned_get");
-        if self.free_hint {
-            if let Some(hinted) = crate::hint::take(self.array_id) {
-                if let Some(got) = Self::hint_acquire(&pin, hinted) {
-                    return Some(got);
-                }
-            }
+        if let Some(got) = self.hint.reacquire(|name| Self::hint_acquire(&pin, name)) {
+            return Some(got);
         }
-        loop {
-            // Route to the newest epoch and run the paper's Get there.  A
-            // sealed head is a transient stale view (only non-newest cells
-            // are ever sealed); skipping it routes us through the retry path
-            // to the real head.
-            let observed = pin.head();
-            let newest = observed.value();
-            if !newest.is_sealed() {
-                match newest.backend.try_get(rng, self.home_for(newest)) {
-                    Some(local) => {
-                        return Some(Self::tag_guarded(newest, pin.stripe(), local, probes))
-                    }
-                    None => probes += newest.backend.exhausted_probe_count(),
+        let mut probes = 0u32;
+        self.walk(&pin, |cell| {
+            match cell.backend.try_get(rng, self.home_for(cell)) {
+                Some(local) => Some(Self::tag_guarded(cell, pin.stripe(), local, probes)),
+                None => {
+                    probes += cell.backend.exhausted_probe_count();
+                    None
                 }
             }
-            // The newest epoch saturated (its backup region included): open a
-            // successor if the policy allows, then retry against it.
-            if self.open_epoch(&pin, observed) {
-                continue;
-            }
-            // Growth unavailable: walk the older epochs, newest to oldest,
-            // skipping cells sealed by an in-flight retirement check (they
-            // are drained, so there is nothing to win there anyway).
-            if !std::ptr::eq(pin.head(), observed) {
-                continue; // raced with a concurrent grower or retirer
-            }
-            for node in observed.iter().skip(1) {
-                let cell = node.value();
-                if cell.is_sealed() {
-                    continue;
-                }
-                match cell.backend.try_get(rng, self.home_for(cell)) {
-                    Some(local) => {
-                        return Some(Self::tag_guarded(cell, pin.stripe(), local, probes))
-                    }
-                    None => probes += cell.backend.exhausted_probe_count(),
-                }
-            }
-            return None;
-        }
+        })
     }
 
     /// The elastic batched `Get` (see [`ActivityArray::get_many`]),
     /// monomorphized over the caller's random source.  The whole batch runs
-    /// under ONE chain pin with one hint consult and one epoch-routing pass
-    /// per cell visited: the newest epoch serves the batch through its
-    /// batched kernel (`ShardGroup::try_get_many`), saturation opens a
-    /// successor exactly like the singleton path, and at the growth cap the
-    /// remainder spills into the older epochs newest-to-oldest.  Every win
-    /// is epoch-tagged, each cell's slice is added to that cell's held
-    /// counter in one update, and the probe accumulator threads through
+    /// under ONE chain pin with one hint consult and the same walk over the
+    /// epochs as the singleton path: each cell visited serves what it can of
+    /// the remainder through its batched kernel (`ShardGroup::try_get_many`).
+    /// Every win is epoch-tagged, each cell's slice is added to that cell's
+    /// held counter in one update, and the probe accumulator threads through
     /// every cell walked, so the reported per-win probe counts are
     /// cumulative across the routing — the same convention as
     /// [`ElasticLevelArray::try_get`]'s exhausted-probe carry-over.
@@ -670,26 +628,18 @@ impl ElasticLevelArray {
         k: usize,
         out: &mut Vec<Acquired>,
     ) -> usize {
-        let before_all = out.len();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.get_many_inner(rng, k, out)
-        }));
-        match result {
-            Ok(won) => won,
-            Err(payload) => {
-                // A panic mid-batch leaves fully tagged wins from earlier
-                // cells in `out` (the per-cell handler in `serve_cell`
-                // already rolled back the cell that was mid-flight).  Free
-                // them through the full elastic path — held counters
-                // included — so the unwind leaks nothing.
-                let _quiet = la_fault::suppress();
-                let wins: Vec<Name> = out.drain(before_all..).map(|got| got.name()).collect();
-                for name in wins {
-                    ActivityArray::free(self, name);
-                }
-                std::panic::resume_unwind(payload)
-            }
+        if k == 0 {
+            return 0;
         }
+        // A panic mid-batch leaves fully tagged wins from earlier cells in
+        // `out` (`serve_cell` already rolled back the cell that was
+        // mid-flight); the full elastic `free` releases them, held counters
+        // included.
+        crate::array::all_or_nothing(
+            out,
+            |out| self.get_many_inner(rng, k, out),
+            |name| ActivityArray::free(self, name),
+        )
     }
 
     fn get_many_inner<R: RandomSource + ?Sized>(
@@ -698,54 +648,55 @@ impl ElasticLevelArray {
         k: usize,
         out: &mut Vec<Acquired>,
     ) -> usize {
-        if k == 0 {
-            return 0;
-        }
-        let mut acquired = 0usize;
-        let mut probes = 0u32;
         let pin = self.chain.pin();
         fail_point!("elastic::pinned_get");
-        if self.free_hint {
-            if let Some(hinted) = crate::hint::take(self.array_id) {
-                if let Some(got) = Self::hint_acquire(&pin, hinted) {
-                    out.push(got);
-                    acquired = 1;
-                }
-            }
+        let mut acquired = 0usize;
+        if let Some(got) = self.hint.reacquire(|name| Self::hint_acquire(&pin, name)) {
+            out.push(got);
+            acquired = 1;
         }
+        let mut probes = 0u32;
+        if acquired < k {
+            self.walk(&pin, |cell| {
+                acquired +=
+                    self.serve_cell(cell, pin.stripe(), rng, k - acquired, &mut probes, out);
+                (acquired == k).then_some(())
+            });
+        }
+        acquired
+    }
+
+    /// The elastic `Get`'s routing, for the singleton and the batched path:
+    /// `serve` the newest epoch, open a successor while the growth policy
+    /// allows, then serve the older epochs newest to oldest.  Returns the
+    /// first `Some` that `serve` produces.  Sealed cells are skipped: a
+    /// sealed head is a stale view the retry resolves (only non-newest
+    /// cells are sealed), and a sealed older cell is drained.
+    fn walk<T>(
+        &self,
+        pin: &ChainPin<'_, Arc<EpochCell>>,
+        mut serve: impl FnMut(&EpochCell) -> Option<T>,
+    ) -> Option<T> {
         loop {
-            if acquired == k {
-                return k;
-            }
             let observed = pin.head();
             let newest = observed.value();
             if !newest.is_sealed() {
-                acquired +=
-                    self.serve_cell(newest, pin.stripe(), rng, k - acquired, &mut probes, out);
-                if acquired == k {
-                    return k;
+                if let Some(done) = serve(newest) {
+                    return Some(done);
                 }
             }
-            // The newest epoch saturated with part of the batch unserved:
-            // grow and retry against the successor, mirroring try_get.
-            if self.open_epoch(&pin, observed) {
+            if self.open_epoch(pin, observed) {
                 continue;
             }
             if !std::ptr::eq(pin.head(), observed) {
                 continue; // raced with a concurrent grower or retirer
             }
-            for node in observed.iter().skip(1) {
-                let cell = node.value();
-                if cell.is_sealed() {
-                    continue;
-                }
-                acquired +=
-                    self.serve_cell(cell, pin.stripe(), rng, k - acquired, &mut probes, out);
-                if acquired == k {
-                    return k;
-                }
-            }
-            return acquired;
+            return observed
+                .iter()
+                .skip(1)
+                .map(|node| node.value())
+                .filter(|cell| !cell.is_sealed())
+                .find_map(|cell| serve(cell));
         }
     }
 
@@ -754,11 +705,11 @@ impl ElasticLevelArray {
     /// accumulator through every win's count, so the tag adds no base
     /// probes), then count the whole slice into the cell's held counter
     /// with one RMW.  Unwind-safe: a panic mid-slice — from the kernel
-    /// (which rolls back its own wins) or between tags — frees this cell's
-    /// wins before resuming; nothing was held-counted yet, so there is no
-    /// count to undo.  The caller's `out` only ever holds this cell's
-    /// *fully tagged and counted* acquisitions plus intact earlier cells'
-    /// entries.
+    /// (which rolls back its own wins) or between tags — strips any epoch
+    /// tag off this cell's wins and releases them in the cell before
+    /// resuming; nothing was held-counted yet, so there is no count to
+    /// undo.  The caller's `out` only ever holds this cell's *fully tagged
+    /// and counted* acquisitions plus intact earlier cells' entries.
     fn serve_cell<R: RandomSource + ?Sized>(
         &self,
         cell: &EpochCell,
@@ -768,34 +719,25 @@ impl ElasticLevelArray {
         probes: &mut u32,
         out: &mut Vec<Acquired>,
     ) -> usize {
-        let before = out.len();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let won = cell
-                .backend
-                .try_get_many(rng, self.home_for(cell), want, probes, out);
-            for got in &mut out[before..] {
-                fail_point!("elastic::tag_many");
-                *got = Self::tagged(cell, *got, 0);
-            }
-            won
-        }));
-        match result {
-            Ok(won) => {
-                if won > 0 {
-                    cell.add_held(stripe, won);
+        let won = crate::array::all_or_nothing(
+            out,
+            |out| {
+                let before = out.len();
+                let won = cell
+                    .backend
+                    .try_get_many(rng, self.home_for(cell), want, probes, out);
+                for got in &mut out[before..] {
+                    fail_point!("elastic::tag_many");
+                    *got = Self::tagged(cell, *got, 0);
                 }
                 won
-            }
-            Err(payload) => {
-                let _quiet = la_fault::suppress();
-                // Tagged or not, every entry past `before` is this slice's
-                // win: strip any epoch tag back off and release it.
-                for got in out.drain(before..) {
-                    cell.backend.free(Name::new(got.name().index()));
-                }
-                std::panic::resume_unwind(payload)
-            }
+            },
+            |name| cell.backend.free(Name::new(name.index())),
+        );
+        if won > 0 {
+            cell.add_held(stripe, won);
         }
+        won
     }
 
     /// Registers through the monomorphized hot path, panicking if the chain
@@ -1077,15 +1019,32 @@ impl ElasticLevelArray {
     /// opened) — either way a caller bug, exactly like an out-of-range index
     /// on the fixed-size arrays.
     fn cell_for<'p>(pin: &'p ChainPin<'_, Arc<EpochCell>>, name: Name) -> &'p EpochCell {
+        Self::find_cell(pin, name.epoch()).unwrap_or_else(|| {
+            panic!(
+                "name {name} belongs to epoch {} which is not live (retired or never opened)",
+                name.epoch()
+            )
+        })
+    }
+
+    /// The live cell tagged `epoch` within a pinned snapshot, if any.
+    fn find_cell<'p>(pin: &'p ChainPin<'_, Arc<EpochCell>>, epoch: usize) -> Option<&'p EpochCell> {
         pin.iter()
             .map(|node| node.value().as_ref())
-            .find(|c| c.epoch == name.epoch())
-            .unwrap_or_else(|| {
-                panic!(
-                    "name {name} belongs to epoch {} which is not live (retired or never opened)",
-                    name.epoch()
-                )
-            })
+            .find(|c| c.epoch == epoch)
+    }
+
+    /// Counts `n` releases from `cell` on the caller's stripe and reports
+    /// whether they drained a non-newest epoch.  The SeqCst decrement comes
+    /// *before* the head load: if the drain races a grower publishing over
+    /// this epoch, either the load sees the new head or the grower's
+    /// post-CAS sum sees the decrement (see `publish_epoch`).  Only a
+    /// release into a non-newest epoch sums the stripes, and the sum follows
+    /// the decrement in the SeqCst order, so the epoch's last release —
+    /// from whichever stripe — sees zero.
+    fn note_release(pin: &ChainPin<'_, Arc<EpochCell>>, cell: &EpochCell, n: usize) -> bool {
+        cell.sub_held(pin.stripe(), n);
+        cell.epoch != pin.head().value().epoch && cell.held_total() == 0
     }
 
     /// Retries the hinted epoch-tagged slot with one test-and-set.  The
@@ -1103,16 +1062,14 @@ impl ElasticLevelArray {
     /// `try_shrink` — it cannot be, since it lives in other threads'
     /// thread-locals.  Correctness therefore rests entirely on this
     /// function's re-validation under a fresh pin: a hint naming an epoch
-    /// that has since been retired finds no matching live cell (the `find`
-    /// returns `None`), and one naming a sealed epoch is rejected by the
+    /// that has since been retired finds no matching live cell
+    /// ([`ElasticLevelArray::find_cell`] returns `None`), and one naming a
+    /// sealed epoch is rejected by the
     /// `is_sealed` check, so a stale hint degrades to a clean miss and the
     /// probe path takes over.  The `stale_hints_*` regression tests in
     /// `tests/free_hint.rs` pin this behavior down.
     fn hint_acquire(pin: &ChainPin<'_, Arc<EpochCell>>, hinted: Name) -> Option<Acquired> {
-        let cell = pin
-            .iter()
-            .map(|node| node.value().as_ref())
-            .find(|c| c.epoch == hinted.epoch())?;
+        let cell = Self::find_cell(pin, hinted.epoch())?;
         if cell.is_sealed() {
             return None;
         }
@@ -1134,7 +1091,7 @@ impl ElasticLevelArray {
 
     /// Whether `free` arms the per-thread Free→Get hint cache.
     pub fn free_hint_enabled(&self) -> bool {
-        self.free_hint
+        self.hint.is_enabled()
     }
 
     /// [`ElasticLevelArray::tag`] with the singleton `Get`'s crash window
@@ -1485,32 +1442,17 @@ impl ActivityArray for ElasticLevelArray {
         fail_point!("elastic::free");
         let (drained_old_epoch, shrink_ready) = {
             let pin = self.chain.pin();
-            let stripe = pin.stripe();
             let cell = Self::cell_for(&pin, name);
             cell.backend.free(Name::new(name.index()));
-            // SeqCst, and *before* the head load: if this drain races a
-            // grower publishing over this very epoch, either we see the new
-            // head (and trigger below) or the grower's post-CAS sum sees
-            // our decrement (and arms the maintenance flag) — see
-            // publish_epoch.
-            cell.sub_held(stripe, 1);
-            let newest = pin.head().value();
-            // Only a free into a non-newest epoch sums the stripes, so the
-            // common free writes and reads nothing another stripe owns.
-            // The sum follows our decrement in the SeqCst order, so the
-            // last decrement of the epoch — from whichever stripe — reads
-            // every earlier one and sees zero.
             (
-                cell.epoch != newest.epoch && cell.held_total() == 0,
-                self.note_shrink_sample(stripe, newest),
+                Self::note_release(&pin, cell, 1),
+                self.note_shrink_sample(pin.stripe(), pin.head().value()),
             )
         };
         // Arm the Free→Get hint with the epoch-tagged name.  If the deferred
         // retirement below unlinks the hinted epoch, the stale hint is
         // rejected by the liveness lookup in hint_acquire — never panics.
-        if self.free_hint {
-            crate::hint::record(self.array_id, name);
-        }
+        self.hint.record(name);
         // Deferred retirement check: the free's own critical path (slot
         // released, pin dropped) is already complete; try_retire is
         // non-blocking, so this never stalls the caller behind growth or
@@ -1566,11 +1508,7 @@ impl ActivityArray for ElasticLevelArray {
                     *name = Name::new(name.index());
                 }
                 cell.backend.free_many(&sorted[start..end]);
-                // One decrement per run, SeqCst and *before* the head load —
-                // the same drain/grow race argument as the singleton free.
-                cell.sub_held(pin.stripe(), end - start);
-                let newest = pin.head().value().epoch;
-                drained_old_epoch |= cell.epoch != newest && cell.held_total() == 0;
+                drained_old_epoch |= Self::note_release(&pin, cell, end - start);
                 start = end;
             }
             (
@@ -1580,11 +1518,7 @@ impl ActivityArray for ElasticLevelArray {
         };
         // Re-arm the Free→Get hint with the batch's last name (caller
         // order), matching the singleton free's epoch-tagged hint.
-        if self.free_hint {
-            if let Some(&last) = names.last() {
-                crate::hint::record(self.array_id, last);
-            }
-        }
+        self.hint.record_last(names);
         // ONE deferred retirement claim for the whole batch: a batch that
         // drained any old epoch (or claims the pending flag) runs a single
         // try_retire pass, not one per name.
@@ -1745,6 +1679,54 @@ mod tests {
             array.free(name);
         }
         assert!(array.collect().is_empty());
+    }
+
+    #[test]
+    fn the_capped_walk_never_serves_a_sealed_epoch() {
+        // Epoch capacities 6 + 12 + 24: with all 42 slots held, the newest
+        // epoch is saturated and the chain is at its cap.
+        let array = ElasticLevelArray::new(2, GrowthPolicy::Doubling { max_epochs: 3 });
+        let mut rng = default_rng(31);
+        let names: HashSet<Name> = (0..200_000)
+            .filter_map(|_| array.try_get(&mut rng))
+            .map(|got| got.name())
+            .take(42)
+            .collect();
+        assert_eq!(names.len(), 42);
+        assert_eq!(array.epoch_ids(), vec![0, 1, 2]);
+        let of_epoch = |epoch| *names.iter().find(|n| n.epoch() == epoch).unwrap();
+        let (open, sealed) = (of_epoch(0), of_epoch(1));
+        let seal = |on: bool| {
+            let pin = array.chain.pin();
+            let cell = ElasticLevelArray::find_cell(&pin, 1).unwrap();
+            if on {
+                assert!(cell.try_seal());
+            } else {
+                cell.unseal();
+            }
+        };
+        // Retries a `try_get`, frees its win, then retries a `get_many`:
+        // each until it wins the one free slot it can reach.
+        let regain = |rng: &mut larng::DefaultRng| {
+            let single = (0..10_000).find_map(|_| array.try_get(&mut *rng)).unwrap();
+            array.free(single.name());
+            let mut out = Vec::new();
+            assert!((0..10_000).any(|_| array.get_many(&mut *rng, 2, &mut out) > 0));
+            assert_eq!(out.len(), 1);
+            (single.name(), out[0].name())
+        };
+        array.free(sealed);
+        seal(true);
+        array.free(open);
+        assert_eq!(
+            regain(&mut rng),
+            (open, open),
+            "a Get served sealed epoch 1"
+        );
+        assert!(array.try_get(&mut rng).is_none());
+        assert_eq!(array.get_many(&mut rng, 2, &mut Vec::new()), 0);
+        seal(false);
+        assert_eq!(regain(&mut rng), (sealed, sealed), "epoch 1 went unserved");
     }
 
     #[test]

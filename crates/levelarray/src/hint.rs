@@ -13,12 +13,55 @@
 //! one thread never trade hints — in particular, the differential
 //! conformance suite drives a word-per-slot and a packed instance in
 //! lockstep, and each must hit its own hint.  A taken entry is cleared
-//! (hints are single-shot) and re-armed by the next `free`.
+//! (hints are single-shot) and re-armed by the next `free`.  Facades reach
+//! the cache only through their [`FreeHint`] handle.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::array::Acquired;
 use crate::name::Name;
+
+/// A facade's handle on the cache: its identity while the
+/// [`crate::LevelArrayConfig::free_hint`] knob is on, `None` while it is off.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FreeHint(Option<u64>);
+
+impl FreeHint {
+    pub(crate) fn new(enabled: bool, array: u64) -> Self {
+        FreeHint(enabled.then_some(array))
+    }
+
+    pub(crate) fn is_enabled(self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Takes the calling thread's hint, if any, and retries it through
+    /// `acquire`; `None` sends the caller down its probe path.
+    #[inline]
+    pub(crate) fn reacquire(
+        self,
+        acquire: impl FnOnce(Name) -> Option<Acquired>,
+    ) -> Option<Acquired> {
+        acquire(take(self.0?)?)
+    }
+
+    /// Arms the hint with the name a `free` just released.
+    #[inline]
+    pub(crate) fn record(self, name: Name) {
+        if let Some(array) = self.0 {
+            record(array, name);
+        }
+    }
+
+    /// Arms the hint with a `free_many` batch's last name, as the final
+    /// free of a singleton loop would.
+    pub(crate) fn record_last(self, names: &[Name]) {
+        if let Some(&last) = names.last() {
+            self.record(last);
+        }
+    }
+}
 
 /// Entries each thread keeps — one per facade instance it recently freed on.
 /// Small and linear-scanned: the hot case is the first entry.
@@ -38,7 +81,7 @@ thread_local! {
 
 /// Records `name` as the freshest hint for facade `array`, evicting any
 /// previous hint of the same facade (and, at capacity, the oldest entry).
-pub(crate) fn record(array: u64, name: Name) {
+fn record(array: u64, name: Name) {
     HINTS.with(|cell| {
         let entries = cell.get();
         let mut next = [None; ENTRIES];
@@ -62,7 +105,7 @@ pub(crate) fn record(array: u64, name: Name) {
 }
 
 /// Takes (and clears) the calling thread's hint for facade `array`, if any.
-pub(crate) fn take(array: u64) -> Option<Name> {
+fn take(array: u64) -> Option<Name> {
     HINTS.with(|cell| {
         let mut entries = cell.get();
         for slot in entries.iter_mut() {
@@ -115,6 +158,20 @@ mod tests {
         record(id, Name::new(2));
         assert_eq!(take(id), Some(Name::new(2)));
         assert_eq!(take(id), None, "the replaced entry must not linger");
+    }
+
+    #[test]
+    fn a_disabled_handle_neither_records_nor_takes() {
+        let id = next_array_id();
+        let off = FreeHint::new(false, id);
+        assert!(!off.is_enabled());
+        off.record(Name::new(3));
+        assert_eq!(take(id), None, "a disabled handle arms nothing");
+        record(id, Name::new(4));
+        assert_eq!(off.reacquire(|name| panic!("took {name}")), None);
+        let on = FreeHint::new(true, id);
+        on.record_last(&[Name::new(5), Name::new(6)]);
+        assert_eq!(take(id), Some(Name::new(6)), "a batch arms its last name");
     }
 
     #[test]

@@ -32,9 +32,11 @@
 //! name (e.g. it crashed), and `lease_ms` is chosen comfortably above the
 //! worst-case beat jitter.
 //!
-//! Leasing is **off by default**: [`crate::LevelArrayConfig::lease_ms`] is
-//! `None` unless set, and plain [`crate::ThreadRegistry`] use is completely
-//! unaffected.  See `docs/ROBUSTNESS.md` for the full policy discussion.
+//! Leasing is **opt-in**: it runs only for registrations made through a
+//! [`LeaseRegistry`], which takes its lease duration in
+//! [`LeaseRegistry::new`], and plain [`crate::ThreadRegistry`] use is
+//! completely unaffected.  See `docs/ROBUSTNESS.md` for the full policy
+//! discussion.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -179,8 +181,7 @@ impl<A: ActivityArray> LeaseRegistry<A> {
     ///
     /// # Panics
     ///
-    /// Panics if `lease_ms == 0`; a zero lease means "leasing disabled"
-    /// (see [`crate::LevelArrayConfig::lease_ms`]) and callers should use
+    /// Panics if `lease_ms == 0`; a caller that wants no lease should use
     /// the plain [`ThreadRegistry`] instead.
     pub fn new(registry: ThreadRegistry<A>, lease_ms: u64) -> Self {
         Self::with_clock(registry, lease_ms, std::sync::Arc::new(SystemClock))
@@ -197,7 +198,10 @@ impl<A: ActivityArray> LeaseRegistry<A> {
         lease_ms: u64,
         clock: std::sync::Arc<dyn LeaseClock>,
     ) -> Self {
-        assert!(lease_ms > 0, "lease_ms must be positive (0 means disabled)");
+        assert!(
+            lease_ms > 0,
+            "lease_ms must be positive; use a plain ThreadRegistry for no lease"
+        );
         LeaseRegistry {
             registry,
             lease_ms,

@@ -12,6 +12,7 @@ use larng::RandomSource;
 use crate::array::{Acquired, ActivityArray};
 use crate::config::{LevelArrayConfig, ProbePolicy, ValidatedConfig};
 use crate::geometry::BatchGeometry;
+use crate::hint::FreeHint;
 use crate::name::Name;
 use crate::occupancy::OccupancySnapshot;
 use crate::probe_core::ProbeCore;
@@ -65,11 +66,9 @@ use crate::slot::{SlotLayout, TasKind};
 pub struct LevelArray {
     core: ProbeCore,
     max_concurrency: usize,
-    /// Process-unique identity keying this instance's per-thread Free→Get
-    /// hints (see [`crate::hint`]).
-    array_id: u64,
-    /// Whether `free` records — and `try_get` consults — the hint cache.
-    free_hint: bool,
+    /// The per-thread Free→Get hint `free` records and `try_get` consults
+    /// (see [`crate::hint`]).
+    hint: FreeHint,
 }
 
 impl LevelArray {
@@ -90,19 +89,18 @@ impl LevelArray {
 
     pub(crate) fn from_validated(config: ValidatedConfig) -> Self {
         let max_concurrency = config.max_concurrency;
-        let free_hint = config.free_hint;
+        let hint = FreeHint::new(config.free_hint, crate::hint::next_array_id());
         LevelArray {
             core: config.into_probe_core(),
             max_concurrency,
-            array_id: crate::hint::next_array_id(),
-            free_hint,
+            hint,
         }
     }
 
     /// Whether the Free→Get hint cache is enabled on this instance (the
     /// [`LevelArrayConfig::free_hint`] knob).
     pub fn free_hint_enabled(&self) -> bool {
-        self.free_hint
+        self.hint.is_enabled()
     }
 
     /// The probing core this facade wraps: the slots, geometry, probe policy
@@ -149,12 +147,8 @@ impl LevelArray {
     /// before the probe sequence; a miss falls through unchanged.
     #[must_use = "dropping the result leaks the acquired name"]
     pub fn try_get<R: RandomSource + ?Sized>(&self, rng: &mut R) -> Option<Acquired> {
-        if self.free_hint {
-            if let Some(name) = crate::hint::take(self.array_id) {
-                if let Some(got) = self.core.hint_acquire(name) {
-                    return Some(got);
-                }
-            }
+        if let Some(got) = self.hint.reacquire(|name| self.core.hint_acquire(name)) {
+            return Some(got);
         }
         self.core.try_get(rng)
     }
@@ -174,34 +168,21 @@ impl LevelArray {
         if k == 0 {
             return 0;
         }
-        let mut acquired = 0usize;
-        if self.free_hint {
-            if let Some(name) = crate::hint::take(self.array_id) {
-                if let Some(got) = self.core.hint_acquire(name) {
-                    out.push(got);
-                    acquired = 1;
-                }
-            }
-        }
         let mut probes = 0u32;
-        if acquired == 0 {
+        let Some(hinted) = self.hint.reacquire(|name| self.core.hint_acquire(name)) else {
             return self.core.try_get_many(rng, k, &mut probes, out);
-        }
-        // A hint win is already in `out`; if the batched kernel panics it
-        // rolls back its own wins (see [`ProbeCore::try_get_many`]), but the
-        // hint win would leak.  Free it too so the batch stays
-        // all-or-nothing.
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.core.try_get_many(rng, k - 1, &mut probes, out)
-        })) {
-            Ok(won) => 1 + won,
-            Err(payload) => {
-                let _quiet = la_fault::suppress();
-                let hinted = out.pop().expect("the hint win was just pushed");
-                ActivityArray::free(self, hinted.name());
-                std::panic::resume_unwind(payload)
-            }
-        }
+        };
+        // The batched kernel rolls back its own wins if it panics (see
+        // [`ProbeCore::try_get_many`]); the hint win needs the facade's
+        // `free`, or it would leak.
+        crate::array::all_or_nothing(
+            out,
+            |out| {
+                out.push(hinted);
+                1 + self.core.try_get_many(rng, k - 1, &mut probes, out)
+            },
+            |name| ActivityArray::free(self, name),
+        )
     }
 
     /// Registers through the monomorphized hot path, panicking if the
@@ -227,6 +208,10 @@ impl LevelArray {
     }
 
     /// Whether `name` lies in the backup array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is epoch-tagged or out of range.
     pub fn is_backup_name(&self, name: Name) -> bool {
         self.core.is_backup_name(name)
     }
@@ -276,21 +261,12 @@ impl ActivityArray for LevelArray {
 
     fn free(&self, name: Name) {
         self.core.free(name);
-        if self.free_hint {
-            crate::hint::record(self.array_id, name);
-        }
+        self.hint.record(name);
     }
 
     fn free_many(&self, names: &[Name]) {
         self.core.free_many(names);
-        // Refill the Free→Get hint with the last name of the batch — the
-        // bulk path must feed the cache exactly as a singleton loop's final
-        // free would, not bypass it.
-        if self.free_hint {
-            if let Some(&last) = names.last() {
-                crate::hint::record(self.array_id, last);
-            }
-        }
+        self.hint.record_last(names);
     }
 
     fn collect(&self) -> Vec<Name> {
@@ -537,6 +513,18 @@ mod tests {
         assert_eq!(again.probes(), 1);
         assert_eq!(again.used_backup(), array.is_backup_name(again.name()));
         array.free(again.name());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn is_backup_name_rejects_an_out_of_range_name() {
+        let _ = LevelArray::new(16).is_backup_name(Name::new(1_000_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch-0")]
+    fn is_backup_name_rejects_a_tagged_name() {
+        let _ = LevelArray::new(16).is_backup_name(Name::with_epoch(1, 0));
     }
 
     #[test]

@@ -462,8 +462,13 @@ impl ProbeCore {
     }
 
     /// Whether the (local) `name` lies in the backup array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is epoch-tagged or out of range, like
+    /// [`ProbeCore::is_held`].
     pub fn is_backup_name(&self, name: Name) -> bool {
-        name.index() >= self.main.len()
+        std::ptr::eq(self.locate(name).0, &self.backup)
     }
 
     /// The number of probes a `Get` performs when it exhausts this core
@@ -554,23 +559,13 @@ impl ProbeCore {
         probes: &mut u32,
         out: &mut Vec<Acquired>,
     ) -> usize {
-        let before = out.len();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.try_get_many_inner(rng, k, probes, out)
-        }));
-        match result {
-            Ok(won) => won,
-            Err(payload) => {
-                // A panic mid-batch (an injected fault, or a real one from
-                // the caller's RandomSource) leaves earlier trials' wins in
-                // `out`; roll them back so the unwind leaks nothing.
-                let _quiet = la_fault::suppress();
-                for got in out.drain(before..) {
-                    self.free(got.name());
-                }
-                std::panic::resume_unwind(payload)
-            }
-        }
+        // A panic mid-batch leaves earlier trials' wins in `out`; they are
+        // local names, so the core's own `free` rolls them back.
+        crate::array::all_or_nothing(
+            out,
+            |out| self.try_get_many_inner(rng, k, probes, out),
+            |name| self.free(name),
+        )
     }
 
     fn try_get_many_inner<R: RandomSource + ?Sized>(

@@ -37,6 +37,7 @@ use crate::array::{Acquired, ActivityArray};
 use crate::backend::ShardGroup;
 use crate::config::{ConfigError, LevelArrayConfig};
 use crate::geometry::BatchGeometry;
+use crate::hint::FreeHint;
 use crate::name::Name;
 use crate::occupancy::{OccupancySnapshot, Region};
 use crate::probe_core::ProbeCore;
@@ -96,9 +97,9 @@ pub struct ShardedLevelArray {
     /// hint cache (see [`crate::hint`]); a thread's cached token or hint is
     /// only valid for the array that minted it.
     array_id: u64,
-    /// Whether `free` arms the per-thread Free→Get hint cache
+    /// The per-thread Free→Get hint `free` arms
     /// ([`LevelArrayConfig::free_hint`]).
-    free_hint: bool,
+    hint: FreeHint,
     /// The churn-stable home-token pool: each newly arriving thread leases
     /// the smallest free token (recycled from departed threads before fresh
     /// ones) and the pool's topology maps tokens to shards node-interleaved.
@@ -148,11 +149,12 @@ impl ShardedLevelArray {
         shards: usize,
         topology: Topology,
     ) -> Result<Self, ConfigError> {
+        let array_id = crate::hint::next_array_id();
         Ok(ShardedLevelArray {
             group: ShardGroup::build(config, shards)?,
             max_concurrency: config.max_concurrency_value(),
-            array_id: crate::hint::next_array_id(),
-            free_hint: config.free_hint_enabled(),
+            array_id,
+            hint: FreeHint::new(config.free_hint_enabled(), array_id),
             home_pool: Arc::new(HomePool::new(topology)),
         })
     }
@@ -233,12 +235,8 @@ impl ShardedLevelArray {
     /// concrete type.
     #[must_use = "dropping the result leaks the acquired name"]
     pub fn try_get<R: RandomSource + ?Sized>(&self, rng: &mut R) -> Option<Acquired> {
-        if self.free_hint {
-            if let Some(hinted) = crate::hint::take(self.array_id) {
-                if let Some(got) = self.group.hint_acquire(hinted) {
-                    return Some(got);
-                }
-            }
+        if let Some(got) = self.hint.reacquire(|name| self.group.hint_acquire(name)) {
+            return Some(got);
         }
         self.group.try_get(rng, self.home_shard())
     }
@@ -255,50 +253,28 @@ impl ShardedLevelArray {
         k: usize,
         out: &mut Vec<Acquired>,
     ) -> usize {
-        // Panic-safety wrapper: a panic mid-walk (fault injection included)
-        // may leave wins from *earlier* hops already translated into the
-        // global namespace and appended to `out`.  The panicking shard's own
-        // in-flight wins were rolled back by [`ProbeCore::try_get_many`], so
-        // everything past `before_all` is a fully-owned global name — free
-        // them all and re-raise, leaving the batch all-or-nothing.
-        let before_all = out.len();
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.get_many_inner(rng, k, out)
-        })) {
-            Ok(acquired) => acquired,
-            Err(payload) => {
-                let _quiet = la_fault::suppress();
-                for got in out.drain(before_all..) {
-                    ActivityArray::free(self, got.name());
-                }
-                std::panic::resume_unwind(payload)
-            }
-        }
-    }
-
-    fn get_many_inner<R: RandomSource + ?Sized>(
-        &self,
-        rng: &mut R,
-        k: usize,
-        out: &mut Vec<Acquired>,
-    ) -> usize {
         if k == 0 {
             return 0;
         }
-        let mut acquired = 0usize;
-        if self.free_hint {
-            if let Some(hinted) = crate::hint::take(self.array_id) {
-                if let Some(got) = self.group.hint_acquire(hinted) {
+        // A panic mid-walk may leave the hint win and earlier hops' wins in
+        // `out` as global names (the panicking shard's kernel rolled back
+        // its own); the facade's `free` releases them.
+        crate::array::all_or_nothing(
+            out,
+            |out| {
+                let mut acquired = 0usize;
+                if let Some(got) = self.hint.reacquire(|name| self.group.hint_acquire(name)) {
                     out.push(got);
                     acquired = 1;
                 }
-            }
-        }
-        let mut probes = 0u32;
-        acquired
-            + self
-                .group
-                .try_get_many(rng, self.home_shard(), k - acquired, &mut probes, out)
+                let (home, mut probes) = (self.home_shard(), 0u32);
+                let won = self
+                    .group
+                    .try_get_many(rng, home, k - acquired, &mut probes, out);
+                acquired + won
+            },
+            |name| ActivityArray::free(self, name),
+        )
     }
 
     /// Registers through the monomorphized hot path, panicking if every
@@ -355,7 +331,7 @@ impl ShardedLevelArray {
 
     /// Whether `free` arms the per-thread Free→Get hint cache.
     pub fn free_hint_enabled(&self) -> bool {
-        self.free_hint
+        self.hint.is_enabled()
     }
 
     /// Directly occupies a specific slot of the global namespace, bypassing
@@ -380,6 +356,10 @@ impl ShardedLevelArray {
     }
 
     /// Whether the global `name` lies in some shard's backup array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is epoch-tagged or out of range.
     pub fn is_backup_name(&self, name: Name) -> bool {
         let (core, local) = self.group.locate(name);
         core.is_backup_name(local)
@@ -411,20 +391,12 @@ impl ActivityArray for ShardedLevelArray {
 
     fn free(&self, name: Name) {
         self.group.free(name);
-        if self.free_hint {
-            crate::hint::record(self.array_id, name);
-        }
+        self.hint.record(name);
     }
 
     fn free_many(&self, names: &[Name]) {
         self.group.free_many(names);
-        // Refill the Free→Get hint with the last name of the batch, exactly
-        // as the final free of a singleton loop would.
-        if self.free_hint {
-            if let Some(&last) = names.last() {
-                crate::hint::record(self.array_id, last);
-            }
-        }
+        self.hint.record_last(names);
     }
 
     fn route_hint(&self, participant: usize) {
@@ -796,6 +768,18 @@ mod tests {
     fn free_of_epoch_tagged_name_panics() {
         let array = ShardedLevelArray::new(8, 2);
         array.free(Name::with_epoch(1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn is_backup_name_rejects_an_out_of_range_name() {
+        let _ = ShardedLevelArray::new(16, 1).is_backup_name(Name::new(1_000_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch-0")]
+    fn is_backup_name_rejects_a_tagged_name() {
+        let _ = ShardedLevelArray::new(16, 1).is_backup_name(Name::with_epoch(1, 0));
     }
 
     /// Frees `[held, bad]` in one batch and asserts that the batch panics

@@ -19,10 +19,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use la_flatcombine::FlatCombining;
-use larng::default_rng;
+use larng::{default_rng, RandomSource, SequenceRng};
 use levelarray::lease::{LeaseClock, LeaseRegistry, ManualClock};
 use levelarray::{
-    ActivityArray, ElasticLevelArray, GrowthPolicy, LevelArray, ShardedLevelArray, ThreadRegistry,
+    ActivityArray, ElasticLevelArray, GrowthPolicy, LevelArray, LevelArrayConfig, Name,
+    ShardedLevelArray, ThreadRegistry,
 };
 
 /// The sequential semantics used by every combining test: fetch-and-add,
@@ -186,6 +187,88 @@ fn watchdog_telemetry_stays_quiet_on_healthy_elastic_traffic() {
     );
 }
 
+/// A batched `Get` whose random source panics mid-batch — a `SequenceRng`
+/// that runs out — must unwind with nothing acquired, on every facade, with
+/// the Free→Get hint off and on: `out` back at its old length, `collect`
+/// holding exactly the names held beforehand and, on the elastic facades,
+/// every live epoch's held counter in step.
+#[test]
+fn get_many_rolls_back_when_the_random_source_runs_out() {
+    let _gate = exclusive();
+    for hint in [false, true] {
+        let flat = LevelArrayConfig::new(32).free_hint(hint);
+        assert_get_many_rolls_back("flat", hint, || flat.build().unwrap(), |_, _| {});
+        let sharded = || flat.build_sharded(2).unwrap();
+        assert_get_many_rolls_back("sharded", hint, sharded, |_, _| {});
+        // Epoch capacities 24 + 48: the batch spans two epochs.
+        let elastic = flat
+            .with_contention(8)
+            .growth(GrowthPolicy::Doubling { max_epochs: 4 });
+        for (label, config) in [
+            ("elastic", elastic.clone()),
+            ("hier", elastic.shard_group(4)),
+        ] {
+            let build = || config.build_elastic().unwrap();
+            assert_get_many_rolls_back(label, hint, build, |array, held| {
+                for epoch in array.epoch_ids() {
+                    let expected = held.iter().filter(|n| n.epoch() == epoch).count();
+                    assert_eq!(array.epoch_held(epoch), Some(expected), "epoch {epoch}");
+                }
+            });
+        }
+    }
+}
+
+/// One case of the test above.  A twin, built and prepared the same way,
+/// first completes the batch to count the draws it takes; the real run's
+/// script is one draw shorter, so the panic comes as late as it can, with
+/// the hint win and the earlier shards' or epochs' wins already in `out`.
+fn assert_get_many_rolls_back<A: ActivityArray>(
+    facade: &str,
+    hint: bool,
+    build: impl Fn() -> A,
+    census: impl Fn(&A, &[Name]),
+) {
+    // Three names held beforehand; with the hint on, the third is freed
+    // again, so the batch opens with an armed hint win.
+    let prepare = |array: &A| {
+        let mut rng = default_rng(0xB47C);
+        let mut held: Vec<Name> = (0..3).map(|_| array.get(&mut rng).name()).collect();
+        let hinted = hint.then(|| held.pop().unwrap());
+        if let Some(name) = hinted {
+            array.free(name);
+        }
+        (held, hinted)
+    };
+    let mut source = default_rng(0x5C41);
+    let script: Vec<u64> = (0..1 << 16).map(|_| source.next_u64()).collect();
+    let label = format!("{facade}, hint {hint}");
+    let twin = build();
+    let (_, hinted) = prepare(&twin);
+    let mut complete = SequenceRng::new(script.clone());
+    let mut out = Vec::new();
+    assert_eq!(twin.get_many(&mut complete, 64, &mut out), 64, "{label}");
+    if let Some(hinted) = hinted {
+        assert_eq!(out[0].name(), hinted, "{label}: no hint win");
+    }
+
+    let array = build();
+    let (mut held, _) = prepare(&array);
+    let before = vec![out[0]];
+    let mut out = before.clone();
+    let mut short = SequenceRng::new(&script[..complete.consumed() - 1]);
+    let unwound = catch_unwind(AssertUnwindSafe(|| {
+        array.get_many(&mut short, 64, &mut out)
+    }));
+    assert!(unwound.is_err(), "{label}: the short script must run out");
+    assert_eq!(out, before, "{label}: out is not back at its old length");
+    let mut collected = array.collect();
+    collected.sort();
+    held.sort();
+    assert_eq!(collected, held, "{label}: the unwound batch kept names");
+    census(&array, &held);
+}
+
 /// Seeded crash storms: compiled only when the failpoints are live.
 #[cfg(la_fault)]
 mod storm {
@@ -193,7 +276,6 @@ mod storm {
     use la_fault::{FaultAction, FaultPlan};
     use la_reclaim::ReclaimDomain;
     use levelarray::epoch_chain::thread_token;
-    use levelarray::{LevelArrayConfig, Name};
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
