@@ -61,7 +61,7 @@ pub enum Algorithm {
     /// shard (`0` keeps the epochs flat — the comparison baseline).  Built
     /// at the *full* contention bound with growth headroom, so the measured
     /// `Get`s exercise steady-state contended routing through sticky
-    /// topology homes rather than forced growth.
+    /// home shards rather than forced growth.
     Hierarchical {
         /// Participants per shard within each epoch (0 = flat epochs).
         shard_group: usize,

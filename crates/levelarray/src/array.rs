@@ -95,13 +95,7 @@ pub trait ActivityArray: Send + Sync + std::fmt::Debug {
     /// more than `max_participants()` processes hold slots simultaneously —
     /// i.e. when the caller has violated the contention bound.
     fn get(&self, rng: &mut dyn RandomSource) -> Acquired {
-        self.try_get(rng).unwrap_or_else(|| {
-            panic!(
-                "{}: no free slot; the contention bound ({}) was exceeded",
-                self.algorithm_name(),
-                self.max_participants()
-            )
-        })
+        self.try_get(rng).unwrap_or_else(|| exhausted(self))
     }
 
     /// Acquires up to `k` names in one batched operation, appending an
@@ -304,6 +298,17 @@ impl<A: ActivityArray + ?Sized> Drop for Registration<'_, A> {
     }
 }
 
+/// The panic of every `get` whose `try_get` found no free slot: the caller
+/// held more names than `array`'s contention bound allows.
+#[cold]
+pub(crate) fn exhausted(array: &(impl ActivityArray + ?Sized)) -> ! {
+    panic!(
+        "{}: no free slot; the contention bound ({}) was exceeded",
+        array.algorithm_name(),
+        array.max_participants()
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,6 +386,62 @@ mod tests {
             "array should fill up within 200 attempts"
         );
         assert!(Registration::try_acquire(&array, &mut rng).is_none());
+    }
+
+    #[test]
+    fn every_facade_panics_the_same_way_when_exhausted() {
+        use crate::{ElasticLevelArray, GrowthPolicy, ShardedLevelArray};
+        use larng::DefaultRng;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        /// The message `get` panics with.
+        fn message(get: impl FnOnce() -> Acquired) -> String {
+            let payload = catch_unwind(AssertUnwindSafe(get)).expect_err("get must panic");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        }
+
+        /// Fills every slot of `array` through `occupy`, then checks that the
+        /// inherent `get` and the trait's `get` through `&dyn` panic with the
+        /// one exhaustion message.
+        fn check(
+            label: &str,
+            array: &dyn ActivityArray,
+            occupy: impl Fn(Name) -> bool,
+            inherent: impl FnOnce(&mut DefaultRng) -> Acquired,
+        ) {
+            for index in 0..array.capacity() {
+                assert!(occupy(Name::new(index)), "{label}: slot {index}");
+            }
+            let expected = format!("{label}: no free slot; the contention bound (2) was exceeded");
+            let mut rng = default_rng(5);
+            assert_eq!(message(|| inherent(&mut rng)), expected);
+            assert_eq!(message(|| array.get(&mut rng)), expected);
+        }
+
+        let flat = LevelArray::new(2);
+        check(
+            "LevelArray",
+            &flat,
+            |n| flat.force_occupy(n),
+            |rng| flat.get(rng),
+        );
+        let sharded = ShardedLevelArray::new(2, 2);
+        check(
+            "ShardedLevelArray",
+            &sharded,
+            |n| sharded.force_occupy(n),
+            |rng| sharded.get(rng),
+        );
+        let elastic = ElasticLevelArray::new(2, GrowthPolicy::Fixed);
+        check(
+            "ElasticLevelArray",
+            &elastic,
+            |n| elastic.force_occupy(n),
+            |rng| elastic.get(rng),
+        );
     }
 
     #[test]

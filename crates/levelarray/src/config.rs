@@ -297,8 +297,9 @@ impl LevelArrayConfig {
     /// `⌈C / g⌉` cache-padded shard cores instead of one flat core — so a
     /// [`GrowthPolicy::Doubling`] chain grows by *adding shard groups*
     /// (each doubling doubles the group count) rather than doubling one
-    /// contended slab.  Threads keep sticky, topology-aware home shards
-    /// within every epoch (see [`crate::topology::Topology`]); epoch-tagged
+    /// contended slab.  Threads keep sticky home shards within every epoch
+    /// (a thread's home token modulo the epoch's shard count, as in
+    /// [`crate::ShardedLevelArray::home_shard`]); epoch-tagged
     /// names route through the shard split unambiguously (the index part is
     /// `shard · shard_capacity + local`).  Only
     /// [`LevelArrayConfig::build_elastic`] consults it.

@@ -89,10 +89,10 @@
 //! and the epoch tag rides on top exactly as before —
 //! `Name::with_epoch(epoch, dense)` — so every `Free`, hint and census
 //! routes through both levels without a lookup table.  Threads are routed to
-//! a sticky home shard by the same churn-stable, NUMA-interleaved token pool
-//! the sharded facade uses (see [`crate::topology`]), and steal ring-order
-//! within the cell on home exhaustion, which preserves the wait-freedom
-//! argument per epoch.
+//! a sticky home shard by the same churn-stable token pool the sharded
+//! facade uses (a home is the thread's token modulo the cell's shard
+//! count), and steal ring-order within the cell on home exhaustion, which
+//! preserves the wait-freedom argument per epoch.
 //!
 //! # Elastic shrink
 //!
@@ -138,10 +138,10 @@ use crate::config::{ConfigError, GrowthPolicy, LevelArrayConfig};
 use crate::epoch_chain::{now_ms, ChainNode, ChainPin, EpochChain};
 use crate::geometry::BatchGeometry;
 use crate::hint::FreeHint;
+use crate::home::HomePool;
 use crate::name::Name;
 use crate::occupancy::{OccupancySnapshot, Region, RegionOccupancy};
 use crate::robust::RobustnessReport;
-use crate::topology::{HomePool, Topology};
 
 /// A value on its own pair of cache lines, like the chain's pin stripes.
 /// Indexed by pin stripe, it gives the threads of one stripe a counter no
@@ -333,9 +333,6 @@ pub struct ElasticLevelArray {
     growth: GrowthPolicy,
     /// Whether a draining free schedules the deferred retirement check.
     auto_retire: bool,
-    /// Process-unique identity for the sticky-token cache of hierarchical
-    /// epochs and the per-thread Free→Get hint cache (see [`crate::hint`]).
-    array_id: u64,
     /// The per-thread Free→Get hint `free` arms
     /// ([`LevelArrayConfig::free_hint`]).
     hint: FreeHint,
@@ -354,7 +351,7 @@ pub struct ElasticLevelArray {
     /// The churn-stable home-token pool routing threads to shard cores of
     /// hierarchical (sharded-backend) epochs; unused while every cell is
     /// flat.  Shared semantics with [`crate::ShardedLevelArray`].
-    home_pool: Arc<HomePool>,
+    homes: HomePool,
     /// The shrink trigger ([`LevelArrayConfig::shrink_watermark`]): `None`
     /// disables shrinking.
     shrink_watermark: Option<f64>,
@@ -431,40 +428,21 @@ impl ElasticLevelArray {
     /// live epochs and [`ConfigError::ZeroPinStripes`] if the grace counter
     /// has no stripes; otherwise see [`LevelArrayConfig::validate`].
     pub fn from_config(config: &LevelArrayConfig) -> Result<Self, ConfigError> {
-        Self::from_config_with_topology(config, Topology::current().clone())
-    }
-
-    /// Like [`ElasticLevelArray::from_config`], but routing hierarchical
-    /// epochs' home tokens through an explicit [`Topology`] instead of the
-    /// discovered machine layout — the injection point for the simulator and
-    /// for tests that study placement on machines they are not running on.
-    /// (With [`LevelArrayConfig::shard_group`] unset every epoch is flat and
-    /// the topology is never consulted.)
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ElasticLevelArray::from_config`].
-    pub fn from_config_with_topology(
-        config: &LevelArrayConfig,
-        topology: Topology,
-    ) -> Result<Self, ConfigError> {
         config.validate()?;
         let contention = config.max_concurrency_value();
         let backend = ShardGroup::for_epoch(config, contention)?;
         let stripes = config.pin_stripes_value();
         let cell = Arc::new(EpochCell::new(0, contention, backend, stripes));
-        let array_id = crate::hint::next_array_id();
         Ok(ElasticLevelArray {
             chain: EpochChain::with_stripes(cell, stripes),
             base: config.clone(),
             growth: config.growth_policy(),
             auto_retire: config.auto_retire_enabled(),
-            array_id,
-            hint: FreeHint::new(config.free_hint_enabled(), array_id),
+            hint: FreeHint::new(config.free_hint_enabled(), crate::hint::next_array_id()),
             maintenance_pending: AtomicBool::new(false),
             epochs_opened: AtomicUsize::new(1),
             epochs_retired: AtomicUsize::new(0),
-            home_pool: Arc::new(HomePool::new(topology)),
+            homes: HomePool::new(),
             shrink_watermark: config.shrink_watermark_value(),
             low_streak: Padded::default(),
             shrink_backoff: StdAtomicU32::new(0),
@@ -568,11 +546,6 @@ impl ElasticLevelArray {
     /// [`LevelArrayConfig::shrink_watermark`]).
     pub fn shrink_watermark(&self) -> Option<f64> {
         self.shrink_watermark
-    }
-
-    /// The topology hierarchical epochs route home tokens through.
-    pub fn topology(&self) -> &Topology {
-        self.home_pool.topology()
     }
 
     /// The slot representation every epoch cell stores its registers in
@@ -748,13 +721,8 @@ impl ElasticLevelArray {
     /// Panics if no free slot could be acquired, i.e. the caller violated the
     /// (current) contention bound and the growth policy forbids growing.
     pub fn get<R: RandomSource + ?Sized>(&self, rng: &mut R) -> Acquired {
-        self.try_get(rng).unwrap_or_else(|| {
-            panic!(
-                "{}: no free slot; the contention bound ({}) was exceeded",
-                ActivityArray::algorithm_name(self),
-                ActivityArray::max_participants(self)
-            )
-        })
+        self.try_get(rng)
+            .unwrap_or_else(|| crate::array::exhausted(self))
     }
 
     /// Retires every non-newest epoch whose collect snapshot proves it
@@ -1079,14 +1047,14 @@ impl ElasticLevelArray {
 
     /// The calling thread's home shard within `cell`: flat cells (the
     /// overwhelmingly common case) short-circuit to 0 without touching the
-    /// thread-local token; sharded cells resolve the sticky token through
-    /// the pool's topology, reduced modulo the cell's shard count.
+    /// thread-local token; sharded cells reduce the sticky token modulo the
+    /// cell's shard count.
     fn home_for(&self, cell: &EpochCell) -> usize {
         let shards = cell.backend.num_shards();
         if shards <= 1 {
             return 0;
         }
-        crate::topology::home_shard(self.array_id, &self.home_pool, shards)
+        self.homes.shard(shards)
     }
 
     /// Whether `free` arms the per-thread Free→Get hint cache.
@@ -1529,7 +1497,7 @@ impl ActivityArray for ElasticLevelArray {
         // Pin the thread's home token to the participant id; each (possibly
         // sharded) epoch cell reduces it modulo its own shard count at Get
         // time.  A no-op for flat cells, which never consult the token.
-        crate::topology::pin_home(self.array_id, participant);
+        self.homes.pin(participant);
     }
 
     fn collect(&self) -> Vec<Name> {

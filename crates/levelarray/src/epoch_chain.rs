@@ -701,7 +701,7 @@ impl<'c, T> Drop for ChainPin<'c, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn single_node_chain() {
@@ -913,59 +913,29 @@ mod tests {
         assert_eq!(*pin.head().value(), if cfg!(miri) { 20 } else { 200 });
     }
 
-    /// Two threads hand one stripe back and forth: on its turn a thread
-    /// drops its previous pin, waits 0.3 ms and pins again, while the
-    /// other thread's pin keeps the stripe busy.  The stripe is busy for
-    /// the whole run although no pin lives longer than about a
-    /// millisecond.  The watchdog must age pins, not the busy stretch: an
-    /// age taken from the stripe's idle→busy transition reads ~60 ms here.
+    /// One thread hands the stripe from pin to pin: every 30 ms it takes a
+    /// new pin, then drops the old one.  The stripe stays busy for ~90 ms,
+    /// but no pin lives longer than ~30 ms.  A new pin bumps the stripe's
+    /// sequence, so the first read after each hand-off is a new sighting
+    /// and reads exactly 0, however long the thread was descheduled.  An
+    /// age taken from the stripe's idle→busy transition reads ~30, ~60 and
+    /// ~90 ms here.
     #[test]
     #[cfg_attr(miri, ignore = "measures wall-clock ages")]
     fn overlapping_short_pins_never_read_as_one_old_pin() {
-        use std::time::{Duration, Instant};
         let chain = EpochChain::with_stripes(0usize, 1);
-        // Hand-off counter: thread `t` takes the steps with `step % 2 == t`.
-        let step = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let mut worst = 0u64;
-        std::thread::scope(|scope| {
-            for t in 0..2 {
-                let (chain, step, stop) = (&chain, &step, &stop);
-                scope.spawn(move || {
-                    let mut mine: Option<ChainPin<'_, usize>> = None;
-                    loop {
-                        while step.load(Ordering::SeqCst) % 2 != t {
-                            if stop.load(Ordering::SeqCst) {
-                                return;
-                            }
-                            std::thread::yield_now();
-                        }
-                        // The other thread's pin, taken on the previous
-                        // step, keeps the stripe busy across this swap.
-                        drop(mine.take());
-                        std::thread::sleep(Duration::from_micros(300));
-                        mine = Some(chain.pin());
-                        step.fetch_add(1, Ordering::SeqCst);
-                    }
-                });
-            }
-            let start = Instant::now();
-            while start.elapsed() < Duration::from_millis(60) {
-                if let Some(age) = chain.oldest_pin_age_ms() {
-                    worst = worst.max(age);
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            stop.store(true, Ordering::SeqCst);
-        });
-        assert!(
-            step.load(Ordering::SeqCst) > 10,
-            "the threads must have handed the stripe over repeatedly"
-        );
-        assert!(
-            worst < 20,
-            "short overlapping pins read as one pin {worst} ms old"
-        );
+        let mut pin = chain.pin();
+        assert_eq!(chain.oldest_pin_age_ms(), Some(0));
+        for handoff in 1..=3 {
+            std::thread::sleep(std::time::Duration::from_millis(30));
+            drop(std::mem::replace(&mut pin, chain.pin()));
+            assert_eq!(
+                chain.oldest_pin_age_ms(),
+                Some(0),
+                "hand-off {handoff} read as one old pin"
+            );
+        }
+        drop(pin);
         assert!(chain.no_active_pins());
         assert_eq!(chain.oldest_pin_age_ms(), None);
     }

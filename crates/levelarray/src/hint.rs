@@ -9,10 +9,10 @@
 //! stolen in between) falls through to the unchanged probe path.
 //!
 //! The cache is keyed by a process-unique facade identity (the same scheme
-//! the sharded facade uses for its sticky `HOME_TOKEN`), so two arrays on
-//! one thread never trade hints — in particular, the differential
-//! conformance suite drives a word-per-slot and a packed instance in
-//! lockstep, and each must hit its own hint.  A taken entry is cleared
+//! the home pools use for their sticky home tokens), so two arrays on one
+//! thread never trade hints — in particular, the differential conformance
+//! suite drives a word-per-slot and a packed instance in lockstep, and
+//! each must hit its own hint.  A taken entry is cleared
 //! (hints are single-shot) and re-armed by the next `free`.  Facades reach
 //! the cache only through their [`FreeHint`] handle.
 
@@ -67,7 +67,8 @@ impl FreeHint {
 /// Small and linear-scanned: the hot case is the first entry.
 const ENTRIES: usize = 4;
 
-/// Allocates a process-unique identity for one hint-using facade instance.
+/// Allocates a process-unique identity for one facade's hint handle or home
+/// pool.
 pub(crate) fn next_array_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)

@@ -193,13 +193,8 @@ impl LevelArray {
     /// Panics if no free slot could be acquired, i.e. the caller violated the
     /// contention bound.
     pub fn get<R: RandomSource + ?Sized>(&self, rng: &mut R) -> Acquired {
-        self.try_get(rng).unwrap_or_else(|| {
-            panic!(
-                "{}: no free slot; the contention bound ({}) was exceeded",
-                ActivityArray::algorithm_name(self),
-                self.max_concurrency
-            )
-        })
+        self.try_get(rng)
+            .unwrap_or_else(|| crate::array::exhausted(self))
     }
 
     /// The probe policy (`c_i`) this instance uses.

@@ -60,7 +60,8 @@
 //!   `ProbeCore` plus a contention bound.
 //! * [`ShardedLevelArray`] — `S` cache-padded `ProbeCore`s with sticky
 //!   per-thread home shards and work stealing, for high-thread-count
-//!   deployments.
+//!   deployments.  A thread's home is a token from a churn-stable pool
+//!   (freed tokens are reused first) modulo the shard count.
 //! * [`ElasticLevelArray`] — a chain of doubling epoch cells that grows the
 //!   contention bound at runtime (names carry an `(epoch, index)` tag; see
 //!   [`Name`] and [`GrowthPolicy`]).
@@ -68,9 +69,6 @@
 //!   atomic head over immutable nodes, CAS-published growth and
 //!   grace-counter reclamation, so `Get`/`Free`/`collect` never block on
 //!   growth or retirement.
-//! * [`topology`] — NUMA topology discovery (`/sys` cpulists with a
-//!   round-robin fallback) and the churn-stable home-token pool behind the
-//!   sharded facades' sticky thread→shard routing.
 //! * [`ActivityArray`] — the trait shared with the baseline implementations in
 //!   the `la-baselines` crate.
 //! * [`geometry`] — the batch layout (paper §4).
@@ -96,10 +94,10 @@ pub mod robust;
 pub mod sharded;
 pub mod slot;
 pub mod stats;
-pub mod topology;
 
 mod backend;
 mod hint;
+mod home;
 mod level_array;
 
 pub use array::{Acquired, ActivityArray, Registration};
@@ -117,7 +115,6 @@ pub use robust::RobustnessReport;
 pub use sharded::ShardedLevelArray;
 pub use slot::{SlotLayout, TasKind};
 pub use stats::{GetStats, StatsSummary};
-pub use topology::Topology;
 
 #[cfg(test)]
 mod tests {

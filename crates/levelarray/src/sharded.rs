@@ -5,16 +5,14 @@
 //! becomes the throughput ceiling.  [`ShardedLevelArray`] partitions the
 //! contention bound across `S` cache-padded [`ProbeCore`]s: each thread is
 //! pinned to a *home shard* on its first `Get` (a sticky per-thread token
-//! leased from the array's [`crate::topology`] pool, assigned
-//! node-interleaved across the machine topology — plain round-robin on a
-//! single-node box — and *recycled on thread exit*, so the assignment stays
-//! stable under thread churn) and runs the
-//! paper's probing strategy inside that shard alone; only when the home
-//! shard is exhausted does it *steal*, walking the remaining shards in ring
-//! order (each with the same full probing strategy, backup included).  The
-//! caller's RNG still drives the probe order inside every shard, home and
-//! stolen alike — only the *routing* is sticky, which keeps a thread's hot
-//! cache lines inside one shard instead of re-rolling them on every
+//! leased from the array's home pool, reduced modulo `S`, and *recycled on
+//! thread exit*, so the assignment stays stable under thread churn) and
+//! runs the paper's probing strategy inside that shard alone; only when the
+//! home shard is exhausted does it *steal*, walking the remaining shards in
+//! ring order (each with the same full probing strategy, backup included).
+//! The caller's RNG still drives the probe order inside every shard, home
+//! and stolen alike — only the *routing* is sticky, which keeps a thread's
+//! hot cache lines inside one shard instead of re-rolling them on every
 //! operation.  Shard-local slot indices map into the global dense namespace
 //! as `shard * shard_capacity + local`, so uniqueness, `free`, `collect` and
 //! `occupancy` all keep the paper's semantics over the union of the shards.
@@ -29,8 +27,6 @@
 //! other processes hold slots while a `Get` runs, so the steal walk always
 //! reaches a shard whose sequential backup has a free slot.
 
-use std::sync::Arc;
-
 use larng::RandomSource;
 
 use crate::array::{Acquired, ActivityArray};
@@ -38,11 +34,11 @@ use crate::backend::ShardGroup;
 use crate::config::{ConfigError, LevelArrayConfig};
 use crate::geometry::BatchGeometry;
 use crate::hint::FreeHint;
+use crate::home::HomePool;
 use crate::name::Name;
 use crate::occupancy::{OccupancySnapshot, Region};
 use crate::probe_core::ProbeCore;
 use crate::slot::SlotLayout;
-use crate::topology::{HomePool, Topology};
 
 /// A LevelArray partitioned into `S` cache-padded shards with work stealing.
 ///
@@ -93,17 +89,11 @@ pub struct ShardedLevelArray {
     /// The shards, their routing walks and the dense global namespace.
     group: ShardGroup,
     max_concurrency: usize,
-    /// Process-unique identity for the sticky-token cache and the Free→Get
-    /// hint cache (see [`crate::hint`]); a thread's cached token or hint is
-    /// only valid for the array that minted it.
-    array_id: u64,
     /// The per-thread Free→Get hint `free` arms
     /// ([`LevelArrayConfig::free_hint`]).
     hint: FreeHint,
-    /// The churn-stable home-token pool: each newly arriving thread leases
-    /// the smallest free token (recycled from departed threads before fresh
-    /// ones) and the pool's topology maps tokens to shards node-interleaved.
-    home_pool: Arc<HomePool>,
+    /// The churn-stable home-token pool behind [`ShardedLevelArray::home_shard`].
+    homes: HomePool,
 }
 
 impl ShardedLevelArray {
@@ -133,40 +123,20 @@ impl ShardedLevelArray {
     /// whatever [`LevelArrayConfig::validate`] reports for the per-shard
     /// configuration.
     pub fn from_config(config: &LevelArrayConfig, shards: usize) -> Result<Self, ConfigError> {
-        Self::from_config_with_topology(config, shards, Topology::current().clone())
-    }
-
-    /// Like [`ShardedLevelArray::from_config`], but routing home tokens
-    /// through an explicit [`Topology`] instead of the discovered machine
-    /// layout — the injection point for the simulator and for tests that
-    /// study placement on machines they are not running on.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedLevelArray::from_config`].
-    pub fn from_config_with_topology(
-        config: &LevelArrayConfig,
-        shards: usize,
-        topology: Topology,
-    ) -> Result<Self, ConfigError> {
-        let array_id = crate::hint::next_array_id();
         Ok(ShardedLevelArray {
             group: ShardGroup::build(config, shards)?,
             max_concurrency: config.max_concurrency_value(),
-            array_id,
-            hint: FreeHint::new(config.free_hint_enabled(), array_id),
-            home_pool: Arc::new(HomePool::new(topology)),
+            hint: FreeHint::new(config.free_hint_enabled(), crate::hint::next_array_id()),
+            homes: HomePool::new(),
         })
     }
 
     /// The calling thread's home shard, pinning it on first use by leasing a
     /// token from the array's home pool: the first thread to touch this
-    /// array gets token 0, the next token 1, and so on, with tokens mapped
-    /// to shards node-interleaved across the pool's topology (plain
-    /// round-robin on a single-node machine) so a population of `T` threads
-    /// spreads evenly over the shards — and across the NUMA nodes — while
-    /// every thread keeps hammering the *same* shard's cache lines across
-    /// operations.
+    /// array gets token 0, the next token 1, and so on, and a token's shard
+    /// is the token modulo the shard count, so a population of `T` threads
+    /// spreads evenly over the shards while every thread keeps hammering the
+    /// *same* shard's cache lines across operations.
     ///
     /// The assignment is **stable under thread churn**: a departing thread's
     /// token returns to the pool and the next arriving thread recycles it
@@ -175,19 +145,14 @@ impl ShardedLevelArray {
     /// threads inherit their predecessors' homes instead of marching a
     /// round-robin cursor forward and skewing the long-run placement.
     pub fn home_shard(&self) -> usize {
-        crate::topology::home_shard(self.array_id, &self.home_pool, self.group.num_shards())
-    }
-
-    /// The topology the home pool routes through.
-    pub fn topology(&self) -> &Topology {
-        self.home_pool.topology()
+        self.homes.shard(self.group.num_shards())
     }
 
     /// Explicitly pins the calling thread's home shard, overriding (or
-    /// pre-empting) the round-robin assignment.  Use this to align homes
-    /// with machine topology (e.g. one shard per NUMA node) or, as the
-    /// single-threaded simulator does, to emulate a multi-thread population
-    /// from one OS thread by re-pinning per simulated worker.
+    /// pre-empting) the round-robin assignment.  Use this to give each
+    /// worker a fixed home or, as the single-threaded simulator does, to
+    /// emulate a multi-thread population from one OS thread by re-pinning
+    /// per simulated worker.
     ///
     /// # Panics
     ///
@@ -198,7 +163,7 @@ impl ShardedLevelArray {
             "cannot pin home shard {shard}: the array has {} shards",
             self.group.num_shards()
         );
-        crate::topology::pin_home(self.array_id, shard);
+        self.homes.pin(shard);
     }
 
     /// Number of shards.
@@ -285,13 +250,8 @@ impl ShardedLevelArray {
     /// Panics if no free slot could be acquired, i.e. the caller violated the
     /// contention bound.
     pub fn get<R: RandomSource + ?Sized>(&self, rng: &mut R) -> Acquired {
-        self.try_get(rng).unwrap_or_else(|| {
-            panic!(
-                "{}: no free slot; the contention bound ({}) was exceeded",
-                ActivityArray::algorithm_name(self),
-                self.max_concurrency
-            )
-        })
+        self.try_get(rng)
+            .unwrap_or_else(|| crate::array::exhausted(self))
     }
 
     /// The probing core of shard `shard` (local names only).
@@ -310,23 +270,6 @@ impl ShardedLevelArray {
     /// Panics if `name` is epoch-tagged or out of range.
     pub fn shard_of(&self, name: Name) -> usize {
         self.group.split(name).0
-    }
-
-    /// Translates a shard-local slot index into the global namespace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range or `local` exceeds the shard
-    /// capacity.
-    pub fn global_name(&self, shard: usize, local: Name) -> Name {
-        assert!(shard < self.num_shards(), "shard {shard} out of range");
-        assert!(
-            local.index() < self.shard_capacity(),
-            "local name {} exceeds the shard capacity {}",
-            local.index(),
-            self.shard_capacity()
-        );
-        Name::new(shard * self.shard_capacity() + local.index())
     }
 
     /// Whether `free` arms the per-thread Free→Get hint cache.
@@ -630,46 +573,6 @@ mod tests {
         assert!(
             homes.windows(2).all(|w| w[0] == w[1]),
             "churned threads must recycle the vacated home token, got {homes:?}"
-        );
-    }
-
-    #[test]
-    fn injected_topology_interleaves_homes_across_nodes() {
-        use crate::topology::Topology;
-        use std::sync::{Arc, Barrier};
-
-        // A synthetic two-node box with 4 shards: shards {0, 2} belong to
-        // node 0 and {1, 3} to node 1, so the first two concurrent threads
-        // must land on different nodes (one even home, one odd).
-        let topo = Topology::synthetic(vec![vec![0, 1], vec![2, 3]]);
-        let array = Arc::new(
-            ShardedLevelArray::from_config_with_topology(&LevelArrayConfig::new(32), 4, topo)
-                .unwrap(),
-        );
-        assert_eq!(array.topology().num_nodes(), 2);
-        let barrier = Arc::new(Barrier::new(2));
-        let homes: Vec<usize> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let array = Arc::clone(&array);
-                    let barrier = Arc::clone(&barrier);
-                    scope.spawn(move || {
-                        barrier.wait();
-                        let home = array.home_shard();
-                        // Keep both leases alive until each thread has one,
-                        // so an early exit cannot recycle its token to the
-                        // other thread.
-                        barrier.wait();
-                        home
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_ne!(
-            homes[0] % 2,
-            homes[1] % 2,
-            "tokens 0 and 1 must interleave across the two nodes, got {homes:?}"
         );
     }
 

@@ -597,18 +597,14 @@ mod tests {
 
     #[test]
     fn hierarchical_skew_hits_every_shard_of_the_newest_epoch() {
-        use levelarray::{GrowthPolicy, Topology};
-        // Inject a synthetic two-node topology: placement must not affect
-        // where the skew lands (it targets slots, not homes), but the array
-        // must accept and expose the injected layout.
-        let array = levelarray::ElasticLevelArray::from_config_with_topology(
-            &LevelArrayConfig::new(256)
-                .growth(GrowthPolicy::Doubling { max_epochs: 4 })
-                .shard_group(64),
-            Topology::synthetic(vec![vec![0, 1], vec![2, 3]]),
-        )
-        .unwrap();
-        assert_eq!(array.topology().num_nodes(), 2);
+        use levelarray::GrowthPolicy;
+        // The skew targets slots, not homes, so it must land the same in
+        // every shard of the newest epoch.
+        let array = LevelArrayConfig::new(256)
+            .growth(GrowthPolicy::Doubling { max_epochs: 4 })
+            .shard_group(64)
+            .build_elastic()
+            .unwrap();
         assert_eq!(array.newest_epoch_shards(), 4);
         let mut rng = default_rng(9);
         let spec = UnbalanceSpec::paper_figure3();

@@ -10,9 +10,9 @@
 //! `LevelArrayConfig::shard_group(g)` makes every epoch of an
 //! `ElasticLevelArray` a sharded core of `ceil(bound / g)` independent
 //! LevelArrays, each a cache-friendly ~`g`-participant island; threads pin a
-//! sticky home shard from the machine topology (`/sys/devices/system/node`,
-//! with a round-robin fallback) and steal-walk the sibling shards only when
-//! their island is full.  Growth then means *adding shard groups*: the
+//! sticky home shard (a per-thread token, reused after its thread exits,
+//! modulo the epoch's shard count) and steal-walk the sibling shards only
+//! when their island is full.  Growth then means *adding shard groups*: the
 //! doubled successor epoch carries twice the shards, and the epoch tag in
 //! every `Name` keeps routing exact across the split.  With a shrink
 //! watermark set, sustained low occupancy walks the chain back down —
@@ -23,7 +23,6 @@
 
 use std::sync::Arc;
 
-use levelarray_suite::core::Topology;
 use levelarray_suite::rng::{default_rng, SeedSequence};
 use levelarray_suite::{ActivityArray, GrowthPolicy, LevelArrayConfig, Name};
 
@@ -37,13 +36,6 @@ fn epoch_table(array: &levelarray_suite::ElasticLevelArray) {
 }
 
 fn main() {
-    let topology = Topology::discover();
-    println!(
-        "topology: {} node(s), {} cpu(s) — shard homes interleave across nodes",
-        topology.num_nodes(),
-        topology.num_cpus()
-    );
-
     let group = 8;
     let array = Arc::new(
         LevelArrayConfig::new(16)

@@ -17,7 +17,13 @@ BENCHMARK.json declares (end-to-end with --trace 0, per-layer with
 --trace 1) the tool prints each side's median and quartiles over the pairs,
 the ratio change/base, how many pairs the change won (direction from the
 metric's `better`), and whether the medians lie further apart than the
-base's interquartile range.  The per-pair values are written to
+base's interquartile range.  A metric with a `bound` (the end-to-end ones)
+also gets a verdict in the `bound` column, the first of these that holds:
+`better` (every change run beats every base run), `unresolved` (the base's
+interquartile range is wider than bound x the base median), `over` (the
+change median is worse than the base median by more than the bound) or
+`ok`.  The verdicts do not change the exit status.  The per-pair values are
+written to
 target/perf-ab/<workload>-seed<S>-trace<T>.json.  Exits non-zero if a
 build or a run fails or a run is not `"correct": true`.
 """
@@ -88,9 +94,25 @@ def cell(q: tuple[float, float, float]) -> str:
     return f"{num(q[1])} [{num(q[0])}-{num(q[2])}]"
 
 
+def verdict(metric: dict, both: list[tuple[float, float]],
+            base: tuple[float, float, float], change: tuple[float, float, float]) -> str:
+    """Judges a metric against its `bound`; empty for a metric without one."""
+    bound = metric.get("bound")
+    if bound is None:
+        return ""
+    sign = 1 if metric["better"] == "higher" else -1
+    if min(sign * c for _, c in both) > max(sign * b for b, _ in both):
+        return "better"
+    if base[2] - base[0] > bound * abs(base[1]):
+        return "unresolved"
+    if sign * (base[1] - change[1]) > bound * abs(base[1]):
+        return "over"
+    return "ok"
+
+
 def report(spec: list[dict], pairs: list[dict]) -> None:
     header = f"{'metric':<34} {'base median [q1-q3]':>28} {'change median [q1-q3]':>28}" \
-             f" {'ratio':>7} {'won':>6} {'apart':>6}"
+             f" {'ratio':>7} {'won':>6} {'apart':>6} {'bound':>10}"
     print(header)
     print("-" * len(header))
     for metric in spec:
@@ -105,7 +127,8 @@ def report(spec: list[dict], pairs: list[dict]) -> None:
         ratio = change[1] / base[1] if base[1] else float("nan")
         apart = abs(change[1] - base[1]) > base[2] - base[0]
         print(f"{name:<34} {cell(base):>28} {cell(change):>28} {ratio:>7.3f}"
-              f" {won:>3}/{len(both):<2} {'yes' if apart else 'no':>6}")
+              f" {won:>3}/{len(both):<2} {'yes' if apart else 'no':>6}"
+              f" {verdict(metric, both, base, change):>10}")
 
 
 def main() -> None:
