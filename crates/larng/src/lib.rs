@@ -4,9 +4,8 @@
 //! The paper's implementation section (§6) states that the authors used the
 //! *Marsaglia* (xorshift) and *Park–Miller / Lehmer* generators interchangeably
 //! and observed no difference in results.  This crate provides both
-//! ([`Xorshift64Star`] and [`MinStd`]), plus two modern small generators
-//! ([`SplitMix64`], [`Pcg32`]) that are convenient for seeding and for
-//! property tests.
+//! ([`Xorshift64Star`] and [`MinStd`]), plus [`SplitMix64`], a modern small
+//! generator that is convenient for seeding.
 //!
 //! Everything in this crate is deterministic given a seed, allocation-free, and
 //! depends only on `std` (and only for the optional entropy helpers).  The
@@ -30,7 +29,6 @@
 
 pub mod lehmer;
 pub mod mock;
-pub mod pcg;
 pub mod seed;
 pub mod source;
 pub mod splitmix;
@@ -38,7 +36,6 @@ pub mod xorshift;
 
 pub use lehmer::MinStd;
 pub use mock::{CountingRng, SequenceRng};
-pub use pcg::Pcg32;
 pub use seed::{entropy_seed, SeedSequence};
 pub use source::RandomSource;
 pub use splitmix::SplitMix64;

@@ -1,7 +1,7 @@
 //! Property-based tests for the `larng` crate.
 
 use larng::{
-    CountingRng, MinStd, Pcg32, RandomSource, SeedSequence, SequenceRng, SplitMix64, Xorshift64Star,
+    CountingRng, MinStd, RandomSource, SeedSequence, SequenceRng, SplitMix64, Xorshift64Star,
 };
 use proptest::prelude::*;
 
@@ -10,7 +10,6 @@ fn for_each_generator(seed: u64, mut f: impl FnMut(&mut dyn RandomSource, &'stat
     f(&mut Xorshift64Star::seed_from_u64(seed), "xorshift64*");
     f(&mut MinStd::seed_from_u64(seed), "minstd");
     f(&mut SplitMix64::seed_from_u64(seed), "splitmix64");
-    f(&mut Pcg32::seed_from_u64(seed), "pcg32");
 }
 
 proptest! {
@@ -102,7 +101,7 @@ proptest! {
     /// Shuffling preserves the multiset of elements.
     #[test]
     fn shuffle_is_permutation(seed in any::<u64>(), len in 0usize..200) {
-        let mut rng = Pcg32::seed_from_u64(seed);
+        let mut rng = Xorshift64Star::seed_from_u64(seed);
         let mut v: Vec<usize> = (0..len).collect();
         rng.shuffle(&mut v);
         let mut sorted = v.clone();

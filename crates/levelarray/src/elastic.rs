@@ -41,9 +41,10 @@
 //! the paper's progress guarantee survives the scaling seam.
 //!
 //! * **Growth is a CAS.**  A `Get` that saturates the newest epoch builds a
-//!   doubled successor cell and CAS-publishes it as the new head
-//!   ([`ChainPin::try_push`]).  Losers of the publication race discard
-//!   their candidate cell and route into the winner's fresh epoch.
+//!   doubled successor cell (or reuses the spare, below) and CAS-publishes
+//!   it as the new head ([`ChainPin::try_push`]).  Losers of the
+//!   publication race hand their candidate back as the spare and route
+//!   into the winner's fresh epoch.
 //! * **Retirement is seal → grace → census → unlink**, entirely
 //!   non-blocking ([`ElasticLevelArray::try_retire`]):
 //!   1. *Seal* every drained non-newest cell (a CAS-claimed flag; sealed
@@ -63,7 +64,8 @@
 //!      cells ([`ChainPin::try_remove`]).  The displaced snapshot is freed
 //!      only after a later grace observation succeeds
 //!      ([`ElasticLevelArray::pending_reclamation`]), so concurrent readers
-//!      keep traversing their pinned snapshot unharmed.
+//!      keep traversing their pinned snapshot unharmed.  The newest cell
+//!      unlinked becomes the spare.
 //!
 //! `Free` triggers step 1 *after* its own critical path completes (slot
 //! released, pin dropped), so the draining free never carries the
@@ -106,7 +108,8 @@
 //! oversized epoch drain behind it.  From there the existing retirement machinery runs
 //! unchanged, just in reverse: the big epoch is now non-newest, so the
 //! seal → grace → census → unlink protocol retires it as soon as its last
-//! holder frees, returning the memory the growth burst borrowed.  `Get`,
+//! holder frees, returning the memory the growth burst borrowed, except
+//! the one cell the array keeps as its spare.  `Get`,
 //! `Free` and `Collect` never block on a shrink any more than on a grow —
 //! both are one CAS on the chain head.
 //!
@@ -118,10 +121,22 @@
 //! the plain `max(C, 16)` frees, but a burst that keeps coming back stops
 //! the chain from publishing a grow/shrink pair per burst: the big epoch
 //! stays, and so does its tag budget.
+//!
+//! # The spare cell
+//!
+//! The array keeps one unlinked cell as a *spare*: the newest cell the
+//! last retirement unlinked, or, when none is kept, a candidate that lost
+//! the publish race.  Every slot of it is free.  A publication of the
+//! spare's bound, grow or shrink, reuses it under a fresh tag instead of
+//! building a new shard group, once `Arc::get_mut` proves that the
+//! grace-period collection has dropped every snapshot that reached it (see
+//! `reuse_spare`).  The slot is only ever `try_lock`ed, so no operation
+//! waits on it, and the array holds at most one retired cell beyond its
+//! live chain.
 
 use la_fault::fail_point;
 use la_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 // Watchdog and shrink-backoff bookkeeping (backoff deadlines and
 // exponents, deferred-work counters) uses plain std atomics: it is
 // advisory, never part of the retirement safety argument, and must stay
@@ -163,7 +178,8 @@ const SHRINK_SAMPLE_STRIDE: usize = 16;
 /// One generation of the elastic chain: a shard group plus its identity.
 struct EpochCell {
     /// The epoch tag carried by every name this cell hands out.  Tags are
-    /// assigned monotonically and never reused.
+    /// assigned monotonically and never reused; a cell reused as the spare
+    /// (see [`ElasticLevelArray::reuse_spare`]) takes a fresh tag.
     epoch: usize,
     /// The contention bound this cell was sized for.
     contention: usize,
@@ -348,6 +364,10 @@ pub struct ElasticLevelArray {
     /// Total epochs ever opened.
     epochs_opened: AtomicUsize,
     epochs_retired: AtomicUsize,
+    /// The spare cell (see the [module documentation](self)), reached only
+    /// through `try_lock`.  A std `Mutex`: like the watchdog's counters,
+    /// it stays invisible to the loom model.
+    spare: Mutex<Option<Arc<EpochCell>>>,
     /// The churn-stable home-token pool routing threads to shard cores of
     /// hierarchical (sharded-backend) epochs; unused while every cell is
     /// flat.  Shared semantics with [`crate::ShardedLevelArray`].
@@ -442,6 +462,7 @@ impl ElasticLevelArray {
             maintenance_pending: AtomicBool::new(false),
             epochs_opened: AtomicUsize::new(1),
             epochs_retired: AtomicUsize::new(0),
+            spare: Mutex::new(None),
             homes: HomePool::new(),
             shrink_watermark: config.shrink_watermark_value(),
             low_streak: Padded::default(),
@@ -799,10 +820,10 @@ impl ElasticLevelArray {
         self.note_grace_success();
         // Phase 3: the definitive census.  No new registration can reach a
         // sealed cell now, so a zero scan is a proof of quiescence.
-        let mut confirmed: Vec<usize> = Vec::new();
+        let mut confirmed = Vec::new();
         for cell in &claimed {
             if cell.is_drained() {
-                confirmed.push(cell.epoch);
+                confirmed.push(cell);
             } else {
                 // A racer won a slot between the drain check and the seal:
                 // the cell is live again, not outstanding work.
@@ -812,19 +833,32 @@ impl ElasticLevelArray {
         if confirmed.is_empty() {
             return self.finish_maintenance(0, unclaimed, false);
         }
-        // Phase 4 (pinned): unlink the confirmed cells.  A CAS race means a
-        // concurrent grower published first — rebuild against the new head
-        // (the confirmed cells stay sealed and in place until we remove
-        // them, so the loop is bounded by other threads' progress).
+        let retired = self.unlink(&confirmed);
+        self.finish_maintenance(retired, unclaimed, false)
+    }
+
+    /// Phase 4 of [`ElasticLevelArray::try_retire`] (pinned): unlinks the
+    /// sealed, censused `confirmed` cells (newest first) and keeps the
+    /// newest of them as the spare, in place of the last one.  A CAS race
+    /// means a concurrent grower published first — rebuild against the new
+    /// head (the confirmed cells stay sealed and in place until we remove
+    /// them, so the loop is bounded by other threads' progress).
+    fn unlink(&self, confirmed: &[&Arc<EpochCell>]) -> usize {
         let retired = loop {
             let pin = self.chain.pin();
-            match pin.try_remove(|cell| !confirmed.contains(&cell.epoch)) {
+            match pin.try_remove(|cell| !confirmed.iter().any(|c| c.epoch == cell.epoch)) {
                 Ok(removed) => break removed,
                 Err(_race) => continue,
             }
         };
         self.epochs_retired.fetch_add(retired, Ordering::Relaxed);
-        self.finish_maintenance(retired, unclaimed, false)
+        let replaced = match self.spare.try_lock() {
+            Ok(mut spare) => spare.replace(Arc::clone(confirmed[0])),
+            Err(_) => None,
+        };
+        // The old spare drops here, after the lock.
+        drop(replaced);
+        retired
     }
 
     /// The tail of every retirement pass: attempt snapshot reclamation, then
@@ -1106,11 +1140,11 @@ impl ElasticLevelArray {
         )
     }
 
-    /// Builds a doubled successor cell and attempts to CAS-publish it over
-    /// `observed`.  Returns `true` when the caller should re-read the head
-    /// and retry its `Get` (either this thread published, or a racer did and
-    /// this thread's candidate was discarded); `false` when the policy
-    /// forbids growing past `observed`.
+    /// Attempts to CAS-publish a doubled successor cell over `observed`.
+    /// Returns `true` when the caller should re-read the head and retry its
+    /// `Get` (either this thread published, or a racer did and this
+    /// thread's candidate went to the spare or was dropped); `false` when
+    /// the policy forbids growing past `observed`.
     fn open_epoch(
         &self,
         pin: &ChainPin<'_, Arc<EpochCell>>,
@@ -1163,15 +1197,17 @@ impl ElasticLevelArray {
         }
     }
 
-    /// Builds a successor cell of bound `contention` and attempts to
-    /// CAS-publish it over `observed` — the shared tail of growth
+    /// Attempts to CAS-publish a successor cell of bound `contention` over
+    /// `observed` — the shared tail of growth
     /// ([`ElasticLevelArray::open_epoch`] doubles) and shrink
-    /// ([`ElasticLevelArray::try_shrink`] halves).  Returns `Some(true)`
-    /// when this thread published, `Some(false)` when a racer moved the
-    /// head first (the candidate is discarded; a fresh epoch is serving
-    /// either way), and `None` when the epoch tag space is exhausted
-    /// (after ~10^3 publications) — the caller must stop rather than reuse
-    /// a tag and break uniqueness.
+    /// ([`ElasticLevelArray::try_shrink`] halves).  The cell is the spare
+    /// when [`ElasticLevelArray::reuse_spare`] can take it, and a new one
+    /// otherwise.  Returns `Some(true)` when this thread published,
+    /// `Some(false)` when a racer moved the head first (the candidate
+    /// becomes the spare if none is kept; a fresh epoch is serving either
+    /// way), and `None` when the epoch tag space is exhausted (after ~10^3
+    /// publications) — the caller must stop rather than reuse a tag and
+    /// break uniqueness.
     fn publish_epoch(
         &self,
         pin: &ChainPin<'_, Arc<EpochCell>>,
@@ -1183,15 +1219,17 @@ impl ElasticLevelArray {
         if epoch > Name::MAX_EPOCH {
             return None;
         }
-        let backend = ShardGroup::for_epoch(&self.base, contention)
-            .expect("a resized elastic configuration stays valid");
-        let cell = Arc::new(EpochCell::new(
-            epoch,
-            contention,
-            backend,
-            self.chain.num_stripes(),
-        ));
-        let pushed = pin.try_push(observed, cell);
+        let cell = self.reuse_spare(epoch, contention).unwrap_or_else(|| {
+            let backend = ShardGroup::for_epoch(&self.base, contention)
+                .expect("a resized elastic configuration stays valid");
+            Arc::new(EpochCell::new(
+                epoch,
+                contention,
+                backend,
+                self.chain.num_stripes(),
+            ))
+        });
+        let pushed = pin.try_push(observed, Arc::clone(&cell));
         if pushed {
             self.epochs_opened.fetch_add(1, Ordering::Relaxed);
             // The predecessor may have fully drained *while it was still the
@@ -1206,8 +1244,36 @@ impl ElasticLevelArray {
             if newest.held_total() == 0 {
                 self.maintenance_pending.store(true, Ordering::SeqCst);
             }
+        } else if let Ok(mut spare) = self.spare.try_lock() {
+            // The chain dropped its copy of the losing candidate, so `cell`
+            // is the only one: it becomes the spare if none is kept.
+            if spare.is_none() {
+                *spare = Some(cell);
+            }
         }
         Some(pushed)
+    }
+
+    /// Takes the spare for a publication of bound `contention` under tag
+    /// `epoch`, if its bound matches and no one else holds it.
+    ///
+    /// Every slot of the spare is free.  A retired cell's census ran after
+    /// the grace observation, from which point no `Get`, hint or
+    /// `force_occupy` could win a slot in the sealed cell, and none can
+    /// reach it once it is unlinked; a losing candidate was never
+    /// published.  `Arc::get_mut` succeeds only once the grace-period
+    /// collection has dropped every chain snapshot that held the cell, so
+    /// no pinned reader can still reach it.  The cell then needs only a
+    /// fresh tag, its seal cleared and zeroed held stripes, not a scan.
+    fn reuse_spare(&self, epoch: usize, contention: usize) -> Option<Arc<EpochCell>> {
+        let mut spare = self.spare.try_lock().ok()?;
+        let cell = Arc::get_mut(spare.as_mut().filter(|c| c.contention == contention)?)?;
+        cell.epoch = epoch;
+        cell.sealed = AtomicBool::new(false);
+        for stripe in cell.held.iter_mut() {
+            stripe.0 = AtomicUsize::new(0);
+        }
+        spare.take()
     }
 
     /// Opens a **smaller** epoch — half the newest bound, never below the
@@ -2039,6 +2105,138 @@ mod tests {
         }
         assert_eq!(floor, 4);
         assert!(!array.try_shrink(), "never shrinks below the initial bound");
+    }
+
+    /// The allocation behind live epoch `epoch`.
+    fn cell_ptr(array: &ElasticLevelArray, epoch: usize) -> *const EpochCell {
+        let pin = array.chain.pin();
+        ElasticLevelArray::find_cell(&pin, epoch).expect("a live epoch")
+    }
+
+    /// The allocation kept as the spare, if any.
+    fn spare_ptr(array: &ElasticLevelArray) -> Option<*const EpochCell> {
+        array.spare.lock().unwrap().as_ref().map(Arc::as_ptr)
+    }
+
+    /// An array of initial bound 4 whose epoch 0 saturated into epoch 1
+    /// (bound 8) and then drained, with retirement left to the test.
+    fn grown_and_drained(seed: u64) -> ElasticLevelArray {
+        let array = LevelArrayConfig::new(4)
+            .growth(GrowthPolicy::Doubling { max_epochs: 5 })
+            .auto_retire(false)
+            .build_elastic()
+            .unwrap();
+        let mut rng = default_rng(seed);
+        let names: Vec<Name> = (0..15).map(|_| array.get(&mut rng).name()).collect();
+        assert_eq!(array.epoch_ids(), vec![0, 1]);
+        for name in names {
+            array.free(name);
+        }
+        array
+    }
+
+    #[test]
+    fn a_retired_cell_serves_the_next_publication_of_its_bound() {
+        let array = grown_and_drained(41);
+        let (cell0, cell1) = (cell_ptr(&array, 0), cell_ptr(&array, 1));
+        assert_eq!(array.try_retire(), 1);
+        assert_eq!(array.pending_reclamation(), 0);
+        assert_eq!(spare_ptr(&array), Some(cell0));
+        // The shrink to bound 4 publishes epoch 0's allocation as epoch 2.
+        assert!(array.try_shrink());
+        assert_eq!(array.epoch_ids(), vec![1, 2]);
+        assert_eq!(cell_ptr(&array, 2), cell0);
+        assert_eq!(array.epoch_contention(2), Some(4));
+        assert_eq!(array.epoch_held(2), Some(0));
+        assert_eq!(spare_ptr(&array), None);
+        // Retiring epoch 1 makes its cell the spare; the next grow to
+        // bound 8 takes it as epoch 3.
+        assert_eq!(array.try_retire(), 1);
+        assert_eq!(spare_ptr(&array), Some(cell1));
+        let mut rng = default_rng(42);
+        let names: Vec<Name> = (0..15).map(|_| array.get(&mut rng).name()).collect();
+        assert_eq!(array.epoch_ids(), vec![2, 3]);
+        assert_eq!(cell_ptr(&array, 3), cell1);
+        // The reused cells hand out, collect and count names under their
+        // new tags, and drain and retire like fresh cells.
+        let in_2: Vec<Name> = names.iter().copied().filter(|n| n.epoch() == 2).collect();
+        assert!(!in_2.is_empty() && names.iter().all(|n| [2, 3].contains(&n.epoch())));
+        let mut collected = array.collect();
+        collected.sort_unstable();
+        let mut sorted = names.clone();
+        sorted.sort_unstable();
+        assert_eq!(collected, sorted);
+        assert_eq!(array.epoch_held(2), Some(in_2.len()));
+        array.free_many(&in_2);
+        assert_eq!(array.try_retire(), 1);
+        assert_eq!(array.epoch_ids(), vec![3]);
+        assert_eq!(spare_ptr(&array), Some(cell0));
+        let in_3: Vec<Name> = names.iter().copied().filter(|n| n.epoch() == 3).collect();
+        array.free_many(&in_3);
+        assert!(array.collect().is_empty());
+        assert_eq!((array.epochs_opened(), array.epochs_retired()), (4, 3));
+        assert_eq!(array.pending_reclamation(), 0);
+    }
+
+    #[test]
+    fn a_pinned_snapshot_or_another_bound_keeps_the_spare() {
+        let array = grown_and_drained(43);
+        let cell0 = cell_ptr(&array, 0);
+        // A reader pinned on the two-epoch snapshot.  Epoch 0 is sealed and
+        // unlinked as `try_retire` does after its grace observation and
+        // census; the reader's pin keeps the displaced snapshot uncollected.
+        let reader = array.chain.pin();
+        let snapshot = reader.head();
+        {
+            let pin = array.chain.pin();
+            let node = pin.iter().find(|n| n.value().epoch == 0).unwrap();
+            assert!(node.value().try_seal());
+            assert_eq!(array.unlink(&[node.value()]), 1);
+        }
+        assert_eq!(array.epoch_ids(), vec![1]);
+        assert_eq!(array.pending_reclamation(), 1);
+        assert_eq!(spare_ptr(&array), Some(cell0));
+        // The shrink wants the spare's bound but builds a fresh cell.
+        assert!(array.try_shrink());
+        assert_ne!(cell_ptr(&array, 2), cell0);
+        assert_eq!(spare_ptr(&array), Some(cell0));
+        let oldest = snapshot.iter().last().unwrap().value();
+        assert_eq!((Arc::as_ptr(oldest), oldest.epoch), (cell0, 0));
+        drop(reader);
+        assert_eq!(array.chain.try_collect_garbage(), 1);
+        // A grow to bound 8 builds fresh too: the bound differs.
+        {
+            let pin = array.chain.pin();
+            assert!(array.open_epoch(&pin, pin.head()));
+        }
+        assert_eq!(array.epoch_contention(3), Some(8));
+        assert_ne!(cell_ptr(&array, 3), cell0);
+        assert_eq!(spare_ptr(&array), Some(cell0));
+        // The next publication of bound 4 takes it.
+        assert!(array.try_shrink());
+        assert_eq!(cell_ptr(&array, 4), cell0);
+        assert_eq!(spare_ptr(&array), None);
+    }
+
+    #[test]
+    fn a_lost_publish_race_hands_the_spare_back() {
+        let array = grown_and_drained(47);
+        let cell0 = cell_ptr(&array, 0);
+        assert_eq!(array.try_retire(), 1);
+        let pin = array.chain.pin();
+        let stale = pin.head();
+        // A racer grows past epoch 1 (to bound 16, leaving the spare).
+        assert!(array.open_epoch(&pin, stale));
+        assert_eq!(spare_ptr(&array), Some(cell0));
+        // A stale bound-4 publication takes the spare, loses the CAS and
+        // hands the cell back.
+        assert_eq!(array.publish_epoch(&pin, stale, 4), Some(false));
+        assert_eq!(array.epoch_ids(), vec![1, 2]);
+        assert_eq!(spare_ptr(&array), Some(cell0));
+        assert_eq!(array.publish_epoch(&pin, pin.head(), 4), Some(true));
+        assert_eq!(array.epoch_ids(), vec![1, 2, 3]);
+        assert_eq!(cell_ptr(&array, 3), cell0);
+        assert_eq!(array.epoch_held(3), Some(0));
     }
 
     #[test]

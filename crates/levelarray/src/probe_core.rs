@@ -545,7 +545,10 @@ impl ProbeCore {
     /// to the 64-aligned `CLAIM_WINDOW` around the probed index and claims
     /// as many still-needed slots as the window holds — one RMW for the whole
     /// window under the bit-packed layout — and the backup phase scans
-    /// window-at-a-time instead of slot-at-a-time.
+    /// window-at-a-time instead of slot-at-a-time.  A window whose claim won
+    /// nothing is not read again in the same call: later trials that land
+    /// on it draw their index and are charged, but claim nothing, so a batch
+    /// that meets a full epoch reads each full window once.
     ///
     /// `probes` is an in/out accumulator: it enters holding the probes
     /// already charged by exhausted cores the caller walked (0 for a flat
@@ -585,12 +588,23 @@ impl ProbeCore {
             let range = self.geometry.batch_range(batch);
             let len = range.end - range.start;
             let trials = self.probe_policy.probes_in_batch(batch) as usize * remaining;
+            // Bit `w`: the batch's `w`-th window won nothing in this call
+            // (windows past the 64th are not tracked).  One thread never
+            // sees such a window free up, so skipping it changes no name,
+            // probe count or draw.
+            let first_window = range.start / CLAIM_WINDOW;
+            let mut full_windows = 0u64;
             for _ in 0..trials {
                 *probes += 1;
                 // Pre-claim: a fault here unwinds with earlier trials' wins
                 // already in `out`; `try_get_many`'s handler frees them.
                 fail_point!("probe_core::claim");
                 let idx = range.start + rng.gen_index(len);
+                let nth = idx / CLAIM_WINDOW - first_window;
+                let window_bit = if nth < 64 { 1u64 << nth } else { 0 };
+                if full_windows & window_bit != 0 {
+                    continue;
+                }
                 let aligned = (idx / CLAIM_WINDOW) * CLAIM_WINDOW;
                 let window = aligned.max(range.start)..(aligned + CLAIM_WINDOW).min(range.end);
                 let p = *probes;
@@ -599,6 +613,9 @@ impl ProbeCore {
                         .claim_window(window, idx, remaining, self.tas_kind, &mut |slot| {
                             out.push(Acquired::new(Name::new(slot), p, Some(batch), false));
                         });
+                if won == 0 {
+                    full_windows |= window_bit;
+                }
                 remaining -= won;
                 if remaining == 0 {
                     return k;
@@ -1159,6 +1176,95 @@ mod tests {
                             assert!(kernel.release(idx) && oracle.release(idx));
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// The batched kernel before it remembered full windows: every trial
+    /// reads and claims its window.  The oracle of
+    /// `get_many_reads_each_full_window_once_and_keeps_the_stream`.
+    fn claim_on_every_trial(
+        core: &ProbeCore,
+        rng: &mut impl RandomSource,
+        k: usize,
+        probes: &mut u32,
+        out: &mut Vec<Acquired>,
+    ) -> usize {
+        let mut remaining = k;
+        for batch in 0..core.geometry.num_batches() {
+            let range = core.geometry.batch_range(batch);
+            let trials = core.probe_policy.probes_in_batch(batch) as usize * remaining;
+            for _ in 0..trials {
+                *probes += 1;
+                let idx = range.start + rng.gen_index(range.len());
+                let aligned = (idx / CLAIM_WINDOW) * CLAIM_WINDOW;
+                let window = aligned.max(range.start)..(aligned + CLAIM_WINDOW).min(range.end);
+                let p = *probes;
+                remaining -=
+                    core.main
+                        .claim_window(window, idx, remaining, core.tas_kind, &mut |slot| {
+                            out.push(Acquired::new(Name::new(slot), p, Some(batch), false));
+                        });
+                if remaining == 0 {
+                    return k;
+                }
+            }
+        }
+        let base = core.main.len();
+        let mut w = 0;
+        while w < core.backup.len() && remaining > 0 {
+            *probes += 1;
+            let window = w..(w + CLAIM_WINDOW).min(core.backup.len());
+            let p = *probes;
+            remaining -=
+                core.backup
+                    .claim_window(window, w, remaining, core.tas_kind, &mut |slot| {
+                        out.push(Acquired::new(Name::new(base + slot), p, None, true));
+                    });
+            w += CLAIM_WINDOW;
+        }
+        k - remaining
+    }
+
+    /// Remembering full windows changes no name, probe count or draw.
+    /// Twin cores per layout hold every slot of batch 0 and about half of
+    /// each later batch; each `k` runs the kernel on one and the oracle on
+    /// the other from the same seed, then frees the wins from both.  Bound
+    /// 48 has two batch-0 windows and runs every `k` past its capacity;
+    /// bound 3000 has 71, so its trials also land on untracked windows.
+    #[test]
+    fn get_many_reads_each_full_window_once_and_keeps_the_stream() {
+        let shapes: [(usize, Vec<usize>); 2] = if cfg!(miri) {
+            [(48, vec![1, 2, 17, 70, 150]), (3000, vec![3])]
+        } else {
+            [(48, (1..=150).collect()), (3000, vec![1, 2, 7, 40, 300])]
+        };
+        for layout in layouts() {
+            for (n, ks) in &shapes {
+                let kernel = core_with_layout(*n, layout);
+                let oracle = core_with_layout(*n, layout);
+                let mut fill = default_rng(0xF011);
+                for idx in 0..kernel.main_len() {
+                    if kernel.geometry().batch_of(idx) == 0 || fill.gen_bool(0.5) {
+                        let name = Name::new(idx);
+                        assert!(kernel.force_occupy(name) && oracle.force_occupy(name));
+                    }
+                }
+                let mut rng_k = default_rng(*n as u64);
+                let mut rng_o = default_rng(*n as u64);
+                for &k in ks {
+                    let case = format!("{layout:?}, n {n}, k {k}");
+                    let (mut got_k, mut got_o) = (Vec::new(), Vec::new());
+                    let (mut probes_k, mut probes_o) = (0u32, 0u32);
+                    let won = kernel.try_get_many(&mut rng_k, k, &mut probes_k, &mut got_k);
+                    let want =
+                        claim_on_every_trial(&oracle, &mut rng_o, k, &mut probes_o, &mut got_o);
+                    assert_eq!((won, &got_k, probes_k), (want, &got_o, probes_o), "{case}");
+                    assert_eq!(rng_k.next_u64(), rng_o.next_u64(), "draws differ, {case}");
+                    let names: Vec<Name> = got_k.iter().map(|a| a.name()).collect();
+                    kernel.free_many(&names);
+                    oracle.free_many(&names);
                 }
             }
         }

@@ -302,6 +302,88 @@ fn shrink_vs_getter_keeps_the_claim_live() {
     });
 }
 
+/// Schedules of [`spare_reuse_vs_pinned_reader_keeps_names_in_live_epochs`]
+/// in which the shrink could take epoch 0's retired cell: the retirement
+/// unlinked it and its collection left no snapshot pending.  Plain std:
+/// a tally across executions, invisible to the model.
+static REUSABLE_SCHEDULES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+/// The spare against a reader pinned on the old snapshot.  Thread A frees
+/// the last epoch-0 name, re-acquires through its Free→Get hint and
+/// collects; thread B retires, then shrinks to bound 1, the bound of epoch
+/// 0's cell.  The shrink takes that cell as epoch 2 once the retirement has
+/// unlinked it and no snapshot that reached it is left, which depends on
+/// where A's pins fall.  In every schedule A's name is in a live epoch and
+/// A's collect sees exactly its name and the anchor, no tag is live twice,
+/// and the held counts match the census.
+#[test]
+fn spare_reuse_vs_pinned_reader_keeps_names_in_live_epochs() {
+    la_sync::model(|| {
+        let array = elastic(3);
+        let (e0, anchor) = saturate_epoch0(&array);
+        for a in &e0[1..] {
+            array.free(a.name());
+        }
+        let last = e0[0].name();
+
+        let a = {
+            let array = Arc::clone(&array);
+            la_sync::thread::spawn(move || {
+                let mut rng = default_rng(23);
+                array.free(last);
+                let got = array
+                    .try_get(&mut rng)
+                    .expect("every epoch has capacity")
+                    .name();
+                (got, array.collect())
+            })
+        };
+        let b = {
+            let array = Arc::clone(&array);
+            la_sync::thread::spawn(move || {
+                let retired = array.try_retire();
+                if retired == 1 && array.pending_reclamation() == 0 {
+                    REUSABLE_SCHEDULES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                }
+                (retired, array.try_shrink())
+            })
+        };
+        let (got, mut seen) = a.join().unwrap();
+        let (retired, shrank) = b.join().unwrap();
+
+        let live = array.epoch_ids();
+        assert!(
+            live.windows(2).all(|w| w[0] < w[1]),
+            "a tag is live twice: {live:?}"
+        );
+        assert!(
+            live.contains(&got.epoch()),
+            "Get returned {got} from epoch {} but the live epochs are \
+             {live:?} (retired {retired}, shrank {shrank})",
+            got.epoch()
+        );
+        let mut held = vec![got, anchor.name()];
+        held.sort_unstable();
+        seen.sort_unstable();
+        assert_eq!(seen, held, "the reader's collect");
+        let mut census = array.collect();
+        census.sort_unstable();
+        assert_eq!(census, held, "the final collect");
+        for &epoch in &live {
+            let count = held.iter().filter(|n| n.epoch() == epoch).count();
+            assert_eq!(array.epoch_held(epoch), Some(count), "epoch {epoch}");
+        }
+        assert!(shrank, "nothing else publishes, so the shrink wins its CAS");
+        assert_eq!(array.epoch_contention(2), Some(1));
+        array.free(got);
+        array.free(anchor.name());
+    });
+    assert!(
+        REUSABLE_SCHEDULES.load(std::sync::atomic::Ordering::Relaxed) > 0,
+        "no explored schedule left the retired cell free for the shrink"
+    );
+}
+
 /// Two concurrent growers on the raw chain: each CAS-publishes exactly one
 /// node, retrying against whatever head it observes.  Every schedule must
 /// end with both values present exactly once above the root — the "losers
