@@ -35,7 +35,7 @@ pub mod splitmix;
 pub mod xorshift;
 
 pub use lehmer::MinStd;
-pub use mock::{CountingRng, SequenceRng};
+pub use mock::SequenceRng;
 pub use seed::{entropy_seed, SeedSequence};
 pub use source::RandomSource;
 pub use splitmix::SplitMix64;

@@ -1,11 +1,8 @@
 //! Deterministic, scripted generators for tests and simulations.
 //!
-//! * [`SequenceRng`] replays a caller-provided list of values, so a test can
-//!   force an algorithm to probe exactly the slots it wants to exercise
-//!   (e.g. "collide on the first probe, succeed on the second").
-//! * [`CountingRng`] wraps any other generator and counts how many draws were
-//!   made, which the analysis code uses to cross-check the probe counters kept
-//!   by the data structures themselves.
+//! [`SequenceRng`] replays a caller-provided list of values, so a test can
+//! force an algorithm to probe exactly the slots it wants to exercise (e.g.
+//! "collide on the first probe, succeed on the second").
 
 use crate::RandomSource;
 
@@ -154,56 +151,9 @@ impl RandomSource for SequenceRng {
     }
 }
 
-/// Wraps another generator and counts how many raw 64-bit draws it served.
-///
-/// # Examples
-///
-/// ```
-/// use larng::{CountingRng, RandomSource, SplitMix64};
-///
-/// let mut rng = CountingRng::new(SplitMix64::seed_from_u64(0));
-/// let _ = rng.gen_index(10);
-/// assert!(rng.draws() >= 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct CountingRng<R> {
-    inner: R,
-    draws: u64,
-}
-
-impl<R: RandomSource> CountingRng<R> {
-    /// Wraps `inner`.
-    pub fn new(inner: R) -> Self {
-        Self { inner, draws: 0 }
-    }
-
-    /// Number of raw 64-bit draws made so far.
-    pub fn draws(&self) -> u64 {
-        self.draws
-    }
-
-    /// Resets the draw counter to zero.
-    pub fn reset(&mut self) {
-        self.draws = 0;
-    }
-
-    /// Returns the wrapped generator, discarding the counter.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-}
-
-impl<R: RandomSource> RandomSource for CountingRng<R> {
-    fn next_u64(&mut self) -> u64 {
-        self.draws += 1;
-        self.inner.next_u64()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SplitMix64;
 
     #[test]
     fn sequence_replays_values() {
@@ -274,27 +224,6 @@ mod tests {
                 assert_eq!((m >> 64) as u64, index);
                 assert!((m as u64) >= bound || bound == 1 && raw >= 1);
             }
-        }
-    }
-
-    #[test]
-    fn counting_rng_counts_and_resets() {
-        let mut rng = CountingRng::new(SplitMix64::seed_from_u64(1));
-        assert_eq!(rng.draws(), 0);
-        let _ = rng.next_u64();
-        let _ = rng.gen_index(5);
-        assert!(rng.draws() >= 2);
-        rng.reset();
-        assert_eq!(rng.draws(), 0);
-        let _inner: SplitMix64 = rng.into_inner();
-    }
-
-    #[test]
-    fn counting_rng_transparent() {
-        let mut plain = SplitMix64::seed_from_u64(2);
-        let mut counted = CountingRng::new(SplitMix64::seed_from_u64(2));
-        for _ in 0..16 {
-            assert_eq!(plain.next_u64(), counted.next_u64());
         }
     }
 }

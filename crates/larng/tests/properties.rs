@@ -1,8 +1,6 @@
 //! Property-based tests for the `larng` crate.
 
-use larng::{
-    CountingRng, MinStd, RandomSource, SeedSequence, SequenceRng, SplitMix64, Xorshift64Star,
-};
+use larng::{MinStd, RandomSource, SeedSequence, SequenceRng, SplitMix64, Xorshift64Star};
 use proptest::prelude::*;
 
 /// Runs a closure against every generator type, seeded with `seed`.
@@ -74,17 +72,6 @@ proptest! {
         for &want in &indices {
             prop_assert_eq!(rng.gen_below(bound), want);
         }
-    }
-
-    /// The counting wrapper is transparent and counts every raw draw.
-    #[test]
-    fn counting_rng_transparency(seed in any::<u64>(), draws in 1usize..64) {
-        let mut plain = Xorshift64Star::seed_from_u64(seed);
-        let mut counted = CountingRng::new(Xorshift64Star::seed_from_u64(seed));
-        for _ in 0..draws {
-            prop_assert_eq!(plain.next_u64(), counted.next_u64());
-        }
-        prop_assert_eq!(counted.draws(), draws as u64);
     }
 
     /// Unit-interval floats stay in [0, 1) for every generator.

@@ -390,23 +390,13 @@ impl ShardGroup {
         Some(self.remap(shard, got, 0))
     }
 
-    /// Appends every held slot's dense name to `out`, shard by shard,
-    /// through each core's own `Collect` fast path.
-    pub(crate) fn collect_into(&self, out: &mut Vec<Name>) {
+    /// Appends every held slot's dense name, tagged `epoch`, to `out` in
+    /// dense order, shard by shard, through each core's own `Collect`
+    /// ([`ProbeCore::collect_tagged_into`]).  The sharded facade passes
+    /// epoch 0; an elastic epoch cell passes its own tag.
+    pub(crate) fn collect_into(&self, epoch: usize, out: &mut Vec<Name>) {
         for (shard, core) in self.cores().enumerate() {
-            core.collect_into(shard * self.shard_capacity, out);
-        }
-    }
-
-    /// Visits every held slot's dense index.
-    pub(crate) fn for_each_held(&self, mut f: impl FnMut(usize)) {
-        let shards = match &self.cores {
-            Cores::Single(core) => return core.for_each_held(f),
-            Cores::Padded(shards) => shards,
-        };
-        for (shard, padded) in shards.iter().enumerate() {
-            let base = shard * self.shard_capacity;
-            padded.0.for_each_held(|local| f(base + local));
+            core.collect_tagged_into(epoch, shard * self.shard_capacity, out);
         }
     }
 
@@ -535,12 +525,11 @@ mod tests {
         assert_eq!(held.len(), backend.capacity());
         assert!(backend.try_get(&mut rng, 0).is_none());
         assert!(backend.any_held());
-        // for_each_held visits exactly the dense indices handed out.
-        let mut seen = HashSet::new();
-        backend.for_each_held(|dense| {
-            assert!(seen.insert(dense));
-        });
-        let expected: HashSet<usize> = held.iter().map(|n| n.index()).collect();
+        // Collect lists exactly the dense names handed out, in order.
+        let mut seen = Vec::new();
+        backend.collect_into(0, &mut seen);
+        let mut expected: Vec<Name> = held.iter().copied().collect();
+        expected.sort_unstable();
         assert_eq!(seen, expected);
         // Free them all back through the dense namespace.
         for name in held {
@@ -692,7 +681,7 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(group.try_get_many(&mut rng, 0, 3, &mut probes, &mut out), 3);
         let mut collected = Vec::new();
-        group.collect_into(&mut collected);
+        group.collect_into(0, &mut collected);
         let mut expected: Vec<Name> = out.iter().map(|a| a.name()).collect();
         expected.extend([names[1], names[2], got.name()]);
         expected.sort_unstable();

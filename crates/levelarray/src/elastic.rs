@@ -1576,8 +1576,7 @@ impl ActivityArray for ElasticLevelArray {
         let pin = self.chain.pin();
         for node in pin.iter() {
             let cell = node.value();
-            cell.backend
-                .for_each_held(|local| out.push(Name::with_epoch(cell.epoch, local)));
+            cell.backend.collect_into(cell.epoch, out);
         }
     }
 
@@ -2043,6 +2042,67 @@ mod tests {
         assert_eq!(array.num_epochs(), 1);
         assert!(array.collect().is_empty());
         assert_eq!(array.pending_reclamation(), 0);
+    }
+
+    /// Across a grow, `collect()` lists exactly the names `is_held` reports
+    /// over every live epoch, in chain order and by dense index within an
+    /// epoch, for flat cells and for multi-shard hierarchical cells in both
+    /// slot layouts; `collect_into` appends after what the vector holds.
+    #[test]
+    fn collect_matches_is_held_over_every_live_epoch() {
+        use crate::slot::SlotLayout;
+        for layout in [SlotLayout::WordPerSlot, SlotLayout::Packed] {
+            for group in [0, 4] {
+                let case = format!("{layout:?}, shard group {group}");
+                let array = LevelArrayConfig::new(8)
+                    .shard_group(group)
+                    .slot_layout(layout)
+                    .growth(GrowthPolicy::Doubling { max_epochs: 4 })
+                    .build_elastic()
+                    .unwrap();
+                let mut rng = default_rng(41);
+                let names: Vec<Name> = (0..60).map(|_| array.get(&mut rng).name()).collect();
+                assert!(array.num_epochs() >= 2, "{case}: the array must grow");
+                if group > 0 {
+                    assert!(array.newest_epoch_shards() > 1, "{case}");
+                }
+                // Holes in every epoch: free every third name.
+                for name in names.iter().step_by(3) {
+                    array.free(*name);
+                }
+                let cells: Vec<(usize, usize)> = {
+                    let pin = array.chain.pin();
+                    pin.iter()
+                        .map(|node| (node.value().epoch, node.value().backend.capacity()))
+                        .collect()
+                };
+                let oracle: Vec<Name> = cells
+                    .iter()
+                    .flat_map(|&(epoch, capacity)| {
+                        (0..capacity).map(move |index| Name::with_epoch(epoch, index))
+                    })
+                    .filter(|&name| array.is_held(name))
+                    .collect();
+                assert!(oracle.iter().any(|name| name.epoch() > 0), "{case}");
+                assert_eq!(array.collect(), oracle, "{case}");
+                let mut out = vec![Name::new(1)];
+                array.collect_into(&mut out);
+                assert_eq!(out[0], Name::new(1), "{case}");
+                assert_eq!(out[1..], oracle[..], "{case}");
+                let mut kept: Vec<Name> = names
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| i % 3 != 0)
+                    .map(|(_, &name)| name)
+                    .collect();
+                kept.sort_unstable();
+                let mut held = oracle;
+                held.sort_unstable();
+                assert_eq!(held, kept, "{case}");
+                array.free_many(&kept);
+                assert!(array.collect().is_empty(), "{case}");
+            }
+        }
     }
 
     #[test]

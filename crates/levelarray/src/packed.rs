@@ -19,12 +19,16 @@
 //!
 //! ## Batched scans
 //!
-//! The scan paths process `LANES` words per iteration: each chunk is
-//! snapshotted with one acquire load per word, whole chunks of zeros are
-//! skipped with a single OR-reduction, and popcounts are accumulated across
-//! the chunk before touching any individual bit.  The one-word-at-a-time
-//! walk is kept as `*_scalar` oracles that the differential tests (and the
-//! `collect-scalar` bench reference cell) run against.
+//! The census and walk paths process `LANES` words per iteration: each
+//! chunk is snapshotted with one acquire load per word, whole chunks of
+//! zeros are skipped with a single OR-reduction, and popcounts are
+//! accumulated across the chunk before touching any individual bit.
+//! `Collect` loads each word once: it snapshots a block of
+//! `COLLECT_BLOCK` words, reserves the block's popcount and writes the
+//! names through `append_names`, the writer the word-per-slot `Collect`
+//! in [`crate::probe_core`] shares.  The one-word-at-a-time walk is kept as
+//! `*_scalar` oracles that the differential tests (and the `collect-scalar`
+//! bench reference cell) run against.
 
 use la_fault::fail_point;
 use la_sync::atomic::{AtomicU64, Ordering};
@@ -38,6 +42,44 @@ const BITS: usize = u64::BITS as usize;
 
 /// Words snapshotted per batched scan step.
 const LANES: usize = 8;
+
+/// Masks per Collect block: a block names up to 1024 slots with one
+/// `reserve`.  The word-per-slot Collect in [`crate::probe_core`] uses the
+/// same block of chunk masks.
+pub(crate) const COLLECT_BLOCK: usize = 16;
+
+/// Appends a [`Name`] for every set bit of a block of masks, in increasing
+/// order: bit `b` of `masks[w]` names `Name::from_raw(raw_base + 64·w + b)`.
+///
+/// The masks are a snapshot, so the block's popcount is exactly the number
+/// of names: one `reserve` covers them, and each name is a single store into
+/// the vector's spare capacity, with no length/capacity round-trip per
+/// `push`.  Both layouts' Collect write through it: packed with word
+/// snapshots, word-per-slot with chunk masks.  The caller guarantees that
+/// every written index stays below [`Name::MAX_INDEX`].
+#[inline]
+pub(crate) fn append_names(masks: &[u64], raw_base: usize, out: &mut Vec<Name>) {
+    let held: usize = masks.iter().map(|mask| mask.count_ones() as usize).sum();
+    if held == 0 {
+        return;
+    }
+    out.reserve(held);
+    let spare = &mut out.spare_capacity_mut()[..held];
+    let mut written = 0usize;
+    let mut base = raw_base;
+    for &mask in masks {
+        PackedSlots::walk_bits(base, mask, &mut |raw| {
+            spare[written].write(Name::from_raw(raw));
+            written += 1;
+        });
+        base += BITS;
+    }
+    debug_assert_eq!(written, held);
+    // SAFETY: the walk initialised the first `written` spare slots, and the
+    // bounds-checked writes keep `written <= held <=` the reserved spare
+    // capacity.
+    unsafe { out.set_len(out.len() + written) };
+}
 
 /// A precomputed word-aligned view of a slot range: the inclusive word
 /// bounds plus the partial-word masks at both ends.  [`crate::probe_core`]
@@ -396,8 +438,8 @@ impl PackedSlots {
     }
 
     /// Walks the set bits of one masked word snapshot in increasing order,
-    /// calling `f(base + bit)`.  The word-per-slot scan kernel in
-    /// `probe_core` walks its held masks with it too.
+    /// calling `f(base + bit)`.  The Collect writer [`append_names`] walks
+    /// both layouts' masks with it.
     #[inline]
     pub(crate) fn walk_bits(base: usize, mut bits: u64, f: &mut impl FnMut(usize)) {
         while bits != 0 {
@@ -484,35 +526,54 @@ impl PackedSlots {
     /// Appends a [`Name`] for every held slot in `range` (offset by
     /// `name_base`) to `out`, in increasing order — the `Collect` hot path.
     ///
-    /// Beyond the batched walk of [`Self::for_each_held`], this reserves the
-    /// exact output size with a popcount pre-pass and writes names straight
-    /// into the vector's spare capacity, so the per-name cost is one store
-    /// instead of a length/capacity bookkeeping round-trip per `push`.
+    /// Each word is loaded once: a block of up to 16 word snapshots is
+    /// reserved by its popcount and written straight into the vector's spare
+    /// capacity, so the per-name cost is one store instead of a
+    /// length/capacity round-trip per `push`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a name would exceed [`Name::MAX_INDEX`].
     #[inline]
     pub fn collect_into(&self, range: Range<usize>, name_base: usize, out: &mut Vec<Name>) {
-        let held = self.count_held(range.clone());
-        if held == 0 {
+        // An epoch-0 name is its index, so `name_base` is the raw base, and
+        // one check covers every index the scan can write.
+        assert!(
+            name_base + range.end <= Name::MAX_INDEX + 1,
+            "index exceeds Name::MAX_INDEX"
+        );
+        self.collect_raw_into(range, name_base, out);
+    }
+
+    /// [`Self::collect_into`] over raw name encodings: slot `idx` appends
+    /// `Name::from_raw(raw_base + idx)`, so an epoch-tagged base yields
+    /// tagged names.  The caller checks that every written index stays below
+    /// [`Name::MAX_INDEX`].
+    pub(crate) fn collect_raw_into(
+        &self,
+        range: Range<usize>,
+        raw_base: usize,
+        out: &mut Vec<Name>,
+    ) {
+        let span = self.span(range);
+        if span.is_empty() {
             return;
         }
-        out.reserve(held);
-        let spare = out.spare_capacity_mut();
-        let mut written = 0usize;
-        // A concurrent acquire between the popcount pre-pass and the walk can
-        // surface more held slots than were reserved; those spill here.
-        let mut overflow = Vec::new();
-        self.for_each_held(range, |idx| {
-            let name = Name::new(name_base + idx);
-            if written < held {
-                spare[written].write(name);
-                written += 1;
-            } else {
-                overflow.push(name);
+        let mut block = [0u64; COLLECT_BLOCK];
+        for first in (span.first..=span.last).step_by(COLLECT_BLOCK) {
+            let last = span.last.min(first + COLLECT_BLOCK - 1);
+            let snap = &mut block[..=last - first];
+            for (dst, word) in snap.iter_mut().zip(&self.words[first..=last]) {
+                *dst = word.load(Ordering::Acquire);
             }
-        });
-        // SAFETY: the first `written` spare slots were initialised above and
-        // `written <= held <=` the reserved spare capacity.
-        unsafe { out.set_len(out.len() + written) };
-        out.extend(overflow);
+            if first == span.first {
+                snap[0] &= span.head_mask;
+            }
+            if last == span.last {
+                snap[last - first] &= span.tail_mask;
+            }
+            append_names(snap, raw_base + first * BITS, out);
+        }
     }
 
     /// One-word-at-a-time variant of [`Self::count_held`]: the PR 5 reference
@@ -872,22 +933,75 @@ mod tests {
     }
 
     /// `collect_into` appends exactly the held names (offset by the base), in
-    /// increasing order, preserving whatever the vector already holds.
+    /// increasing order, preserving whatever the vector already holds; the
+    /// epoch-tagged `collect_raw_into` tags every name; and the walk,
+    /// `count_held` and `any_held` agree with the same per-slot `is_held`
+    /// oracle.  Lengths run
+    /// from one word to several 16-word Collect blocks (1025 and 3000 slots
+    /// end just past a block and mid-block), each with a random occupancy,
+    /// over the whole slab, ranges starting and ending inside words, and
+    /// random sub-ranges.  A last pass holds only the final slot.
     #[test]
     fn collect_into_matches_the_walk_and_appends() {
         use crate::name::Name;
-        let len = if cfg!(miri) { 300 } else { 5000 };
-        let s = PackedSlots::new(len);
-        for idx in (0..len).step_by(3) {
-            assert!(s.try_acquire(idx, TasKind::Swap));
+        use larng::RandomSource;
+        let mut rng = larng::default_rng(0xC011);
+        let lens: &[usize] = if cfg!(miri) {
+            &[1, 65, 1025, 3000]
+        } else {
+            &[1, 63, 64, 65, 1024, 1025, 3000, 5000]
+        };
+        for &len in lens {
+            let s = PackedSlots::new(len);
+            let density = rng.gen_unit_f64();
+            for idx in 0..len {
+                if rng.gen_bool(density) {
+                    assert!(s.try_acquire(idx, TasKind::Swap));
+                }
+            }
+            let held = |range: Range<usize>| -> Vec<usize> {
+                range.filter(|&idx| s.is_held(idx)).collect()
+            };
+            let mut ranges = vec![0..len, 1..len - 1, len / 2..len / 2, len..len];
+            for _ in 0..(if cfg!(miri) { 2 } else { 12 }) {
+                let (a, b) = (rng.gen_index(len + 1), rng.gen_index(len + 1));
+                ranges.push(a.min(b)..a.max(b));
+            }
+            for range in ranges.into_iter().filter(|r| r.start <= r.end) {
+                let case = format!("len {len}, range {range:?}");
+                let mut out = vec![Name::new(7)];
+                s.collect_into(range.clone(), 1000, &mut out);
+                let expected: Vec<Name> = std::iter::once(Name::new(7))
+                    .chain(held(range.clone()).into_iter().map(|i| Name::new(1000 + i)))
+                    .collect();
+                assert_eq!(out, expected, "{case}");
+                let mut tagged = Vec::new();
+                s.collect_raw_into(range.clone(), Name::with_epoch(9, 1000).raw(), &mut tagged);
+                let expected: Vec<Name> = held(range.clone())
+                    .into_iter()
+                    .map(|i| Name::with_epoch(9, 1000 + i))
+                    .collect();
+                assert_eq!(tagged, expected, "tagged, {case}");
+                let mut walked = Vec::new();
+                s.for_each_held(range.clone(), |i| walked.push(i));
+                assert_eq!(walked, held(range.clone()), "walk, {case}");
+                assert_eq!(s.count_held(range.clone()), expected.len(), "count, {case}");
+            }
+            assert_eq!(
+                s.any_held(),
+                !held(0..len).is_empty(),
+                "any_held, len {len}"
+            );
+            for idx in held(0..len) {
+                assert!(s.release(idx));
+            }
+            assert!(!s.any_held(), "drained, len {len}");
+            assert!(s.try_acquire(len - 1, TasKind::Swap));
+            assert!(s.any_held(), "last slot held, len {len}");
+            assert_eq!(s.count_held(0..len), 1, "last slot, len {len}");
+            let mut out = Vec::new();
+            s.collect_into(0..len, 0, &mut out);
+            assert_eq!(out, [Name::new(len - 1)], "last slot, len {len}");
         }
-        let mut expected = vec![Name::new(7)];
-        s.for_each_held(1..len - 1, |i| expected.push(Name::new(1000 + i)));
-        let mut out = vec![Name::new(7)];
-        s.collect_into(1..len - 1, 1000, &mut out);
-        assert_eq!(out, expected);
-        // An empty range appends nothing.
-        s.collect_into(4..4, 0, &mut out);
-        assert_eq!(out, expected);
     }
 }

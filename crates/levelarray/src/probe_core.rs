@@ -20,6 +20,15 @@
 //! a thin object-safe wrapper for callers that need dynamic dispatch (the
 //! simulator, the bench harness's algorithm registry).
 //!
+//! Every word-per-slot scan — `Collect`, the occupancy censuses, the
+//! drained check and the batched `Get`'s window snapshot — reads its slots
+//! through one mask kernel: each slot's state word (0 or 1, from
+//! `Slot::held_bit`) shifts into a 64-bit held mask built in four
+//! independent lanes, with no compare and no branch per slot.  `Collect`
+//! hands 16 such masks at a time to the spare-capacity name writer the
+//! packed layout's `Collect` shares.  The singleton `Get`'s sequential
+//! backup scan keeps a per-slot loop: it stops at its first win.
+//!
 //! This module holds no atomics of its own: every shared-memory access goes
 //! through [`Slot`] and [`PackedSlots`], whose atomics come from the
 //! [`la_sync`] shim — so the whole probing core runs unmodified under the
@@ -35,7 +44,7 @@ use crate::config::ProbePolicy;
 use crate::geometry::BatchGeometry;
 use crate::name::Name;
 use crate::occupancy::{Region, RegionOccupancy};
-use crate::packed::{PackedSlots, WordSpan};
+use crate::packed::{append_names, PackedSlots, WordSpan, COLLECT_BLOCK};
 use crate::slot::{Slot, SlotLayout, TasKind};
 
 /// Slot span of one batched claim attempt: a probed index is widened to the
@@ -48,67 +57,85 @@ pub(crate) const CLAIM_WINDOW: usize = 64;
 
 /// Slots per word-per-slot scan chunk: one `u64` held mask.
 const SCAN_CHUNK: usize = 64;
-/// Slots per mask-building group: one byte of the held mask.
-const SCAN_GROUP: usize = 8;
+/// Independent lanes a held mask is built in.  Lane `l` gathers the bits
+/// of slots `l`, `l + 4`, `l + 8`, … of a chunk, so four short shift-or
+/// chains run side by side instead of one chain through all 64 slots.
+const SCAN_LANES: usize = 4;
 
-/// The held-mask byte of one 8-slot group.  The eight reads shift into
-/// place by constant amounts, so building it takes no branch.
-#[inline(always)]
-fn group_mask(group: &[Slot; SCAN_GROUP]) -> u64 {
-    let mut byte = 0u64;
-    for (bit, slot) in group.iter().enumerate() {
-        byte |= u64::from(slot.is_held()) << bit;
-    }
-    byte
-}
-
-/// The held mask of one whole chunk: bit `i` is set iff `chunk[i]` is
-/// held, built from eight [`group_mask`] bytes at constant offsets.
+/// The held mask of one whole chunk: bit `i` is set iff `chunk[i]` was held
+/// when read.  Each slot's [`Slot::held_bit`] (its state word, 0 or 1)
+/// shifts into its lane by a constant amount, so building the mask takes no
+/// compare and no branch.
 #[inline(always)]
 fn chunk_mask(chunk: &[Slot; SCAN_CHUNK]) -> u64 {
-    let mut mask = 0u64;
-    for g in 0..SCAN_CHUNK / SCAN_GROUP {
-        let group = chunk[g * SCAN_GROUP..][..SCAN_GROUP]
-            .try_into()
-            .expect("a chunk holds whole groups");
-        mask |= group_mask(group) << (g * SCAN_GROUP);
+    let mut lanes = [0u64; SCAN_LANES];
+    for (quad, slots) in chunk.chunks_exact(SCAN_LANES).enumerate() {
+        for (lane, slot) in slots.iter().enumerate() {
+            lanes[lane] |= slot.held_bit() << (quad * SCAN_LANES + lane);
+        }
     }
-    mask
+    lanes.iter().fold(0, |mask, lane| mask | lane)
 }
 
 /// The held mask of a ragged tail shorter than a chunk (the end of a slab
-/// or of a scanned range), read slot by slot — still without a branch.
+/// or of a scanned range), in the same four lanes.
 #[inline]
 fn tail_mask(tail: &[Slot]) -> u64 {
     debug_assert!(tail.len() < SCAN_CHUNK);
-    tail.iter().enumerate().fold(0, |mask, (bit, slot)| {
-        mask | u64::from(slot.is_held()) << bit
-    })
+    let mut lanes = [0u64; SCAN_LANES];
+    for (bit, slot) in tail.iter().enumerate() {
+        lanes[bit % SCAN_LANES] |= slot.held_bit() << bit;
+    }
+    lanes.iter().fold(0, |mask, lane| mask | lane)
 }
 
-/// The word-per-slot scan kernel: calls `f` with the index of every held
-/// slot of `slots` in `range`, in increasing order.  It is the one walk
-/// behind `SlotSlab::for_each_held` and `SlotSlab::collect_all_into`.  Each
-/// 64-slot chunk is snapshotted into a held mask whose set bits are then
-/// walked with `trailing_zeros` — the snapshot-then-walk shape of
-/// [`PackedSlots::for_each_held`], through the same bit walk.  It branches
-/// per chunk and per held slot but never per slot, so the scan's speed does
-/// not hang on how the compiler happens to lay out a per-slot branch.
-#[inline]
-fn for_each_held_slot(slots: &[Slot], range: Range<usize>, mut f: impl FnMut(usize)) {
-    let mut base = range.start;
-    let mut chunks = slots[range].chunks_exact(SCAN_CHUNK);
-    for chunk in chunks.by_ref() {
-        let chunk = chunk.try_into().expect("chunks_exact yields whole chunks");
-        PackedSlots::walk_bits(base, chunk_mask(chunk), &mut f);
-        base += SCAN_CHUNK;
+/// The held mask of at most one chunk of slots.  Every word-per-slot scan
+/// reads its slots through it: Collect, the censuses, the drained check and
+/// the batched `Get`'s window snapshot.
+#[inline(always)]
+fn held_mask(slots: &[Slot]) -> u64 {
+    match slots.try_into() {
+        Ok(chunk) => chunk_mask(chunk),
+        Err(_) => tail_mask(slots),
     }
-    PackedSlots::walk_bits(base, tail_mask(chunks.remainder()), &mut f);
+}
+
+/// The number of held slots of `slots`: the popcount of its chunk masks.
+fn count_held_slots(slots: &[Slot]) -> usize {
+    slots
+        .chunks(SCAN_CHUNK)
+        .map(|chunk| held_mask(chunk).count_ones() as usize)
+        .sum()
+}
+
+/// Whether any slot of `slots` is held, one chunk mask at a time.
+fn any_held_slot(slots: &[Slot]) -> bool {
+    slots.chunks(SCAN_CHUNK).any(|chunk| held_mask(chunk) != 0)
+}
+
+/// The word-per-slot Collect: appends `Name::from_raw(raw_base + i)` for
+/// every held slot `i` of `slots`, in increasing order.  It snapshots up to
+/// [`COLLECT_BLOCK`] chunk masks at a time and hands each block to
+/// [`append_names`], which reserves the block's popcount once and writes
+/// the names into the vector's spare capacity.  It branches per chunk and
+/// per held slot but never per slot, so the scan's speed does not hang on
+/// how the compiler happens to lay out a per-slot branch.
+#[inline]
+fn collect_held_slots(slots: &[Slot], raw_base: usize, out: &mut Vec<Name>) {
+    const BLOCK_SLOTS: usize = COLLECT_BLOCK * SCAN_CHUNK;
+    let mut masks = [0u64; COLLECT_BLOCK];
+    for (nth, block) in slots.chunks(BLOCK_SLOTS).enumerate() {
+        for (mask, chunk) in masks.iter_mut().zip(block.chunks(SCAN_CHUNK)) {
+            *mask = held_mask(chunk);
+        }
+        let chunks = block.len().div_ceil(SCAN_CHUNK);
+        append_names(&masks[..chunks], raw_base + nth * BLOCK_SLOTS, out);
+    }
 }
 
 /// The word-per-slot multi-claim kernel under [`TasKind::CompareExchange`].
 /// It snapshots the held mask of the window `range` (at most one chunk)
-/// with the scan kernel, then tries only the slots that looked free,
+/// with [`held_mask`], then tries only the slots that looked free,
 /// `start..range.end` first and then `range.start..start`, until `k` are
 /// won.  Single-threaded it claims exactly the slots of a per-slot
 /// test-and-set loop in that rotation order; a full window costs one load
@@ -123,11 +150,7 @@ fn claim_free_slots(
 ) -> usize {
     debug_assert!(range.contains(&start), "start {start} outside {range:?}");
     let window = &slots[range.clone()];
-    let held = match window.try_into() {
-        Ok(chunk) => chunk_mask(chunk),
-        Err(_) => tail_mask(window),
-    };
-    let free = !held & (u64::MAX >> (SCAN_CHUNK - window.len()));
+    let free = !held_mask(window) & (u64::MAX >> (SCAN_CHUNK - window.len()));
     let pivot = u64::MAX << (start - range.start);
     let mut claimed = 0usize;
     for mut bits in [free & pivot, free & !pivot] {
@@ -293,10 +316,7 @@ impl SlotSlab {
     /// The number of held slots in a precomputed [`CensusRegion`].
     fn count_region(&self, region: &CensusRegion) -> usize {
         match self {
-            SlotSlab::WordPerSlot(slots) => slots[region.range.clone()]
-                .iter()
-                .filter(|s| s.is_held())
-                .count(),
+            SlotSlab::WordPerSlot(slots) => count_held_slots(&slots[region.range.clone()]),
             SlotSlab::Packed(slab) => slab.count_span(region.span),
         }
     }
@@ -312,31 +332,21 @@ impl SlotSlab {
         }
     }
 
+    /// Appends `Name::from_raw(raw_base + i)` for every held slot `i`, in
+    /// increasing order.  Both layouts snapshot a block of masks (chunk
+    /// masks of [`held_mask`], or packed words) and write it through the one
+    /// [`append_names`] writer.
     #[inline]
-    fn for_each_held(&self, range: Range<usize>, f: impl FnMut(usize)) {
+    fn collect_into(&self, raw_base: usize, out: &mut Vec<Name>) {
         match self {
-            SlotSlab::WordPerSlot(slots) => for_each_held_slot(slots, range, f),
-            SlotSlab::Packed(slab) => slab.for_each_held(range, f),
-        }
-    }
-
-    /// Appends a [`Name`] (offset by `name_base`) for every held slot, in
-    /// increasing order: the allocation-free packed fast path
-    /// ([`PackedSlots::collect_into`]) for a bit slab, the mask kernel
-    /// ([`for_each_held_slot`]) for a word slab.
-    #[inline]
-    fn collect_all_into(&self, name_base: usize, out: &mut Vec<Name>) {
-        match self {
-            SlotSlab::WordPerSlot(slots) => for_each_held_slot(slots, 0..slots.len(), |idx| {
-                out.push(Name::new(name_base + idx))
-            }),
-            SlotSlab::Packed(slab) => slab.collect_into(0..slab.len(), name_base, out),
+            SlotSlab::WordPerSlot(slots) => collect_held_slots(slots, raw_base, out),
+            SlotSlab::Packed(slab) => slab.collect_raw_into(0..slab.len(), raw_base, out),
         }
     }
 
     fn any_held(&self) -> bool {
         match self {
-            SlotSlab::WordPerSlot(slots) => slots.iter().any(|s| s.is_held()),
+            SlotSlab::WordPerSlot(slots) => any_held_slot(slots),
             SlotSlab::Packed(slab) => slab.any_held(),
         }
     }
@@ -753,26 +763,36 @@ impl ProbeCore {
         slab.is_held(idx)
     }
 
-    /// Calls `f` with every held local index (backup slots offset by
-    /// `main_len()`), in increasing order — the scan a `Collect` performs,
-    /// exposed as a visitor so facades can map local indices into their own
-    /// namespace (global shard names, epoch tags) without an intermediate
-    /// allocation.
-    pub fn for_each_held(&self, mut f: impl FnMut(usize)) {
-        self.main.for_each_held(0..self.main.len(), &mut f);
-        let base = self.main.len();
-        self.backup
-            .for_each_held(0..self.backup.len(), |offset| f(base + offset));
-    }
-
-    /// Appends every held local name, offset by `base`, to `out` — the scan a
+    /// Appends every held local name, offset by `base`, to `out`, in
+    /// increasing order (backup slots follow the main array) — the scan a
     /// `Collect` performs, reusable by facades that map local names into a
-    /// larger namespace.  Packed slabs take the reserved spare-capacity fast
-    /// path of [`PackedSlots::collect_into`] instead of a push per name.
+    /// larger namespace.  Both layouts reserve each block's names at once
+    /// and write them into the vector's spare capacity instead of a push per
+    /// name.
     #[inline]
     pub fn collect_into(&self, base: usize, out: &mut Vec<Name>) {
-        self.main.collect_all_into(base, out);
-        self.backup.collect_all_into(base + self.main.len(), out);
+        self.collect_tagged_into(0, base, out);
+    }
+
+    /// [`ProbeCore::collect_into`] with every name tagged `epoch`: the held
+    /// local index `i` appends `Name::with_epoch(epoch, base + i)`.  An
+    /// elastic epoch cell collects through it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `epoch` exceeds [`Name::MAX_EPOCH`] or a name would exceed
+    /// [`Name::MAX_INDEX`].
+    #[inline]
+    pub(crate) fn collect_tagged_into(&self, epoch: usize, base: usize, out: &mut Vec<Name>) {
+        // One check covers every name the scan can write: `raw + i` never
+        // carries into the tag while `base + i` is a valid index.
+        assert!(
+            base + self.capacity() <= Name::MAX_INDEX + 1,
+            "index exceeds Name::MAX_INDEX"
+        );
+        let raw = Name::with_epoch(epoch, base).raw();
+        self.main.collect_into(raw, out);
+        self.backup.collect_into(raw + self.main.len(), out);
     }
 
     /// Whether any slot (main or backup) is currently held — the quiescence
@@ -1059,47 +1079,92 @@ mod tests {
         }
     }
 
-    /// The word-per-slot scan kernel against a per-slot `is_held` loop.
+    /// The word-per-slot scan kernels against per-slot `is_held` loops.
     /// Slab lengths 0..=130 cover every ragged tail and both sides of the
     /// first two chunk boundaries; 192 and 768 are whole-chunk slabs (768 is
-    /// a `LevelArray::new(256)` main array plus backup).  Each slab gets a
-    /// random occupancy and is read through `collect_all_into` with a
-    /// non-zero name base and through `for_each_held` over random
-    /// sub-ranges.
+    /// a `LevelArray::new(256)` main array plus backup); 1025 and 3000 span
+    /// more than one 16-chunk Collect block.  Each slab gets a random
+    /// occupancy.  Collect runs with a non-zero name base, untagged and
+    /// epoch-tagged, appending to a non-empty vector, over the whole slab
+    /// and over random sub-ranges; `count_region` and the drained check run
+    /// over the same ranges.  A last pass holds only the final slot.
     #[test]
     fn word_scan_kernel_matches_a_per_slot_loop() {
         let mut rng = default_rng(0x5CA7);
         let sub_ranges = if cfg!(miri) { 2 } else { 12 };
-        for len in (0..=130).chain([192, 768]) {
+        for len in (0..=130).chain([192, 768, 1025, 3000]) {
             let slab = SlotSlab::new(len, SlotLayout::WordPerSlot);
+            let SlotSlab::WordPerSlot(slots) = &slab else {
+                unreachable!("built word-per-slot")
+            };
             let density = rng.gen_unit_f64();
             for idx in 0..len {
                 if rng.gen_bool(density) {
                     assert!(slab.try_acquire(idx, TasKind::default()));
                 }
             }
-            let oracle = |range: Range<usize>| -> Vec<usize> {
+            let held = |range: Range<usize>| -> Vec<usize> {
                 range.filter(|&idx| slab.is_held(idx)).collect()
             };
             let name_base = 1000 + len;
-            let mut names = vec![Name::new(7)];
-            slab.collect_all_into(name_base, &mut names);
-            let expected: Vec<Name> = std::iter::once(Name::new(7))
-                .chain(oracle(0..len).into_iter().map(|i| Name::new(name_base + i)))
-                .collect();
-            assert_eq!(names, expected, "collect, len {len}");
             let sub = (0..sub_ranges).map(|_| {
                 let (a, b) = (rng.gen_index(len + 1), rng.gen_index(len + 1));
                 a.min(b)..a.max(b)
             });
             let ranges: Vec<Range<usize>> = std::iter::once(0..len).chain(sub).collect();
+            for epoch in [0, 5] {
+                let raw = Name::with_epoch(epoch, name_base).raw();
+                let name = |idx: usize| Name::with_epoch(epoch, name_base + idx);
+                let mut names = vec![Name::new(7)];
+                slab.collect_into(raw, &mut names);
+                let expected: Vec<Name> = std::iter::once(Name::new(7))
+                    .chain(held(0..len).into_iter().map(name))
+                    .collect();
+                assert_eq!(names, expected, "collect, epoch {epoch}, len {len}");
+                for range in &ranges {
+                    let mut names = Vec::new();
+                    collect_held_slots(&slots[range.clone()], raw + range.start, &mut names);
+                    let expected: Vec<Name> = held(range.clone()).into_iter().map(name).collect();
+                    assert_eq!(
+                        names, expected,
+                        "collect {range:?}, epoch {epoch}, len {len}"
+                    );
+                }
+            }
             for range in ranges {
-                let mut seen = Vec::new();
-                slab.for_each_held(range.clone(), |idx| seen.push(idx));
+                let count = held(range.clone()).len();
+                let region = CensusRegion::new(range.clone());
                 assert_eq!(
-                    seen,
-                    oracle(range.clone()),
-                    "for_each_held({range:?}), len {len}"
+                    slab.count_region(&region),
+                    count,
+                    "count {range:?}, len {len}"
+                );
+                assert_eq!(
+                    any_held_slot(&slots[range.clone()]),
+                    count > 0,
+                    "any_held({range:?}), len {len}"
+                );
+            }
+            assert_eq!(
+                slab.any_held(),
+                !held(0..len).is_empty(),
+                "any_held, len {len}"
+            );
+            if len > 0 {
+                for idx in held(0..len) {
+                    assert!(slab.release(idx));
+                }
+                assert!(!slab.any_held(), "drained, len {len}");
+                assert!(slab.try_acquire(len - 1, TasKind::default()));
+                assert!(slab.any_held(), "last slot held, len {len}");
+                let whole = CensusRegion::new(0..len);
+                assert_eq!(slab.count_region(&whole), 1, "last slot, len {len}");
+                let mut names = Vec::new();
+                slab.collect_into(name_base, &mut names);
+                assert_eq!(
+                    names,
+                    [Name::new(name_base + len - 1)],
+                    "last slot, len {len}"
                 );
             }
         }

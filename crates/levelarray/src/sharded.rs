@@ -353,7 +353,7 @@ impl ActivityArray for ShardedLevelArray {
     }
 
     fn collect_into(&self, out: &mut Vec<Name>) {
-        self.group.collect_into(out);
+        self.group.collect_into(0, out);
     }
 
     fn capacity(&self) -> usize {

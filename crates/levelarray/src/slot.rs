@@ -66,6 +66,8 @@ pub enum TasKind {
 
 const FREE: u32 = 0;
 const HELD: u32 = 1;
+// `Slot::held_bit` hands out the state word itself as the held bit.
+const _: () = assert!(FREE == 0 && HELD == 1);
 
 /// A single activity-array location.
 ///
@@ -122,6 +124,20 @@ impl Slot {
     #[inline]
     pub fn is_held(&self) -> bool {
         self.state.load(Ordering::Acquire) == HELD
+    }
+
+    /// The slot's state as its held bit: 1 if held, 0 if free, read with
+    /// one `Acquire` load, like [`Slot::is_held`].  The word only ever holds
+    /// `FREE` (0) or `HELD` (1), so the scan kernels in `probe_core` shift
+    /// the loaded word straight into a held mask, with no compare.
+    #[inline(always)]
+    pub(crate) fn held_bit(&self) -> u64 {
+        let state = self.state.load(Ordering::Acquire);
+        debug_assert!(
+            state == FREE || state == HELD,
+            "slot word {state} is neither free nor held"
+        );
+        u64::from(state)
     }
 }
 
@@ -183,6 +199,52 @@ mod tests {
         assert!(s.release());
         assert!(s.try_acquire(TasKind::CompareExchange));
         assert!(!s.try_acquire(TasKind::Swap));
+    }
+
+    /// `held_bit` shifts the state word into a mask as it is, so every
+    /// operation of either primitive must leave the word `FREE` or `HELD`:
+    /// winning and losing acquires, releases of held and of free slots, and
+    /// threads racing with both primitives on one slot while another reads
+    /// it.
+    #[test]
+    fn both_primitives_leave_only_free_or_held_in_the_word() {
+        let word = |s: &Slot| s.state.load(Ordering::Acquire);
+        for kind in [TasKind::CompareExchange, TasKind::Swap] {
+            let s = Slot::new();
+            assert_eq!((word(&s), s.held_bit()), (FREE, 0), "{kind:?}");
+            for _ in 0..3 {
+                assert!(s.try_acquire(kind));
+                assert_eq!((word(&s), s.held_bit()), (HELD, 1), "{kind:?}");
+                assert!(!s.try_acquire(kind));
+                assert_eq!((word(&s), s.held_bit()), (HELD, 1), "{kind:?}");
+                assert!(s.release());
+                assert_eq!((word(&s), s.held_bit()), (FREE, 0), "{kind:?}");
+                assert!(!s.release());
+                assert_eq!((word(&s), s.held_bit()), (FREE, 0), "{kind:?}");
+            }
+        }
+        let rounds = if cfg!(miri) { 20 } else { 2000 };
+        let slot = Slot::new();
+        std::thread::scope(|scope| {
+            for kind in [TasKind::CompareExchange, TasKind::Swap] {
+                let slot = &slot;
+                scope.spawn(move || {
+                    for _ in 0..rounds {
+                        if slot.try_acquire(kind) {
+                            assert!(slot.release(), "{kind:?}");
+                        }
+                    }
+                });
+            }
+            scope.spawn(|| {
+                for _ in 0..rounds {
+                    let state = word(&slot);
+                    assert!(state == FREE || state == HELD, "word {state}");
+                    assert!(slot.held_bit() <= 1);
+                }
+            });
+        });
+        assert_eq!(word(&slot), FREE);
     }
 
     /// Exactly one of many concurrent acquirers can win a free slot.

@@ -22,8 +22,11 @@ also gets a verdict in the `bound` column, the first of these that holds:
 `better` (every change run beats every base run), `unresolved` (the base's
 interquartile range is wider than bound x the base median), `over` (the
 change median is worse than the base median by more than the bound) or
-`ok`.  The verdicts do not change the exit status.  The per-pair values are
-written to
+`ok`.  The `claim` column reads `gain` when the change won at least 9 of
+every 10 pairs and the medians lie further apart than the base's
+interquartile range (the test a claimed gain must pass), and is empty
+otherwise.  The verdicts and claims do not change the exit status.  The
+per-pair values are written to
 target/perf-ab/<workload>-seed<S>-trace<T>.json.  Exits non-zero if a
 build or a run fails or a run is not `"correct": true`.
 """
@@ -110,9 +113,15 @@ def verdict(metric: dict, both: list[tuple[float, float]],
     return "ok"
 
 
+def claim(won: int, pairs: int, apart: bool) -> str:
+    """`gain` when the change won at least 9/10 of the pairs and the medians
+    lie further apart than the base's interquartile range; empty otherwise."""
+    return "gain" if apart and 10 * won >= 9 * pairs else ""
+
+
 def report(spec: list[dict], pairs: list[dict]) -> None:
     header = f"{'metric':<34} {'base median [q1-q3]':>28} {'change median [q1-q3]':>28}" \
-             f" {'ratio':>7} {'won':>6} {'apart':>6} {'bound':>10}"
+             f" {'ratio':>7} {'won':>6} {'apart':>6} {'bound':>10} {'claim':>5}"
     print(header)
     print("-" * len(header))
     for metric in spec:
@@ -128,7 +137,7 @@ def report(spec: list[dict], pairs: list[dict]) -> None:
         apart = abs(change[1] - base[1]) > base[2] - base[0]
         print(f"{name:<34} {cell(base):>28} {cell(change):>28} {ratio:>7.3f}"
               f" {won:>3}/{len(both):<2} {'yes' if apart else 'no':>6}"
-              f" {verdict(metric, both, base, change):>10}")
+              f" {verdict(metric, both, base, change):>10} {claim(won, len(both), apart):>5}")
 
 
 def main() -> None:
