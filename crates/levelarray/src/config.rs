@@ -20,9 +20,6 @@ pub enum ProbePolicy {
     /// uses `Uniform(1)`; its analysis assumes a larger constant (≥ 16) purely
     /// to obtain high-probability concentration bounds.
     Uniform(u32),
-    /// An explicit per-batch count `c_i`; batches beyond the end of the vector
-    /// reuse the last entry.
-    PerBatch(Vec<u32>),
 }
 
 impl Default for ProbePolicy {
@@ -32,14 +29,11 @@ impl Default for ProbePolicy {
 }
 
 impl ProbePolicy {
-    /// The number of probes to perform in batch `i`.
-    pub fn probes_in_batch(&self, i: usize) -> u32 {
+    /// The number of probes to perform in batch `batch` (the same in every
+    /// batch).
+    pub fn probes_in_batch(&self, _batch: usize) -> u32 {
         match self {
             ProbePolicy::Uniform(c) => *c,
-            ProbePolicy::PerBatch(v) => *v
-                .get(i)
-                .or_else(|| v.last())
-                .expect("validated non-empty in LevelArrayConfig::validate"),
         }
     }
 
@@ -47,9 +41,6 @@ impl ProbePolicy {
         match self {
             ProbePolicy::Uniform(0) => Err(ConfigError::ZeroProbes),
             ProbePolicy::Uniform(_) => Ok(()),
-            ProbePolicy::PerBatch(v) if v.is_empty() => Err(ConfigError::EmptyProbeVector),
-            ProbePolicy::PerBatch(v) if v.contains(&0) => Err(ConfigError::ZeroProbes),
-            ProbePolicy::PerBatch(_) => Ok(()),
         }
     }
 }
@@ -226,7 +217,8 @@ impl LevelArrayConfig {
         self
     }
 
-    /// Sets an explicit per-batch probe count `c_i` (paper analysis: ≥ 16).
+    /// Sets the probe policy (paper implementation: `Uniform(1)`; paper
+    /// analysis: `Uniform(c)` with `c ≥ 16`).
     pub fn probe_policy(mut self, policy: ProbePolicy) -> Self {
         self.probe_policy = policy;
         self
@@ -320,9 +312,11 @@ impl LevelArrayConfig {
     /// epoch (half the bound, never below the initial one) and retires the
     /// large epoch through the same seal→grace→census→unlink protocol that
     /// retires drained predecessors after growth — run in reverse: the big
-    /// cell drains while the small successor serves.  The stretch doubles
-    /// each time a grow undoes a shrink, so a recurring burst keeps its
-    /// epoch (see the `elastic` module's *Elastic shrink* section).
+    /// cell drains while the small successor serves.  Once a grow undoes a
+    /// shrink, the next stretch is 2¹⁰ times as long, so a recurring burst
+    /// keeps its epoch; a load whose low phases outlast even that still
+    /// shrinks and regrows once per burst (see the `elastic` module's
+    /// *Elastic shrink* section).
     /// Disabled by default; only meaningful under
     /// [`GrowthPolicy::Doubling`].  Only [`LevelArrayConfig::build_elastic`]
     /// consults it.
@@ -545,10 +539,8 @@ pub enum ConfigError {
     ZeroConcurrency,
     /// The space factor was below 1 or not finite.
     InvalidSpaceFactor(f64),
-    /// A probe policy requested zero probes in some batch.
+    /// A probe policy requested zero probes per batch.
     ZeroProbes,
-    /// A per-batch probe policy was given an empty vector.
-    EmptyProbeVector,
     /// A sharded build was requested with zero shards.
     ZeroShards,
     /// An elastic growth policy allowed zero live epochs.
@@ -567,9 +559,6 @@ impl fmt::Display for ConfigError {
                 write!(f, "space factor must be a finite value >= 1, got {x}")
             }
             ConfigError::ZeroProbes => write!(f, "probe counts must be at least 1"),
-            ConfigError::EmptyProbeVector => {
-                write!(f, "per-batch probe policy needs at least one entry")
-            }
             ConfigError::ZeroShards => write!(f, "a sharded array needs at least one shard"),
             ConfigError::ZeroEpochs => {
                 write!(f, "an elastic growth policy needs at least one live epoch")
@@ -644,11 +633,6 @@ mod tests {
     #[test]
     fn probe_policies() {
         assert_eq!(ProbePolicy::Uniform(3).probes_in_batch(7), 3);
-        let per = ProbePolicy::PerBatch(vec![16, 8, 4]);
-        assert_eq!(per.probes_in_batch(0), 16);
-        assert_eq!(per.probes_in_batch(2), 4);
-        // Batches past the end reuse the last entry.
-        assert_eq!(per.probes_in_batch(9), 4);
     }
 
     #[test]
@@ -678,13 +662,6 @@ mod tests {
                 .unwrap_err(),
             ConfigError::ZeroProbes
         );
-        assert_eq!(
-            LevelArrayConfig::new(4)
-                .probe_policy(ProbePolicy::PerBatch(vec![]))
-                .validate()
-                .unwrap_err(),
-            ConfigError::EmptyProbeVector
-        );
         assert!(matches!(
             LevelArrayConfig::new(4)
                 .shrink_watermark(1.5)
@@ -707,7 +684,6 @@ mod tests {
     #[test]
     fn error_display_and_source() {
         use std::error::Error;
-        assert!(ConfigError::EmptyProbeVector.to_string().contains("entry"));
         assert!(ConfigError::ZeroConcurrency.source().is_none());
         assert!(ConfigError::InvalidSpaceFactor(0.1)
             .to_string()

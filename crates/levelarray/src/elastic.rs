@@ -99,28 +99,35 @@
 //! # Elastic shrink
 //!
 //! Growth has an inverse: with [`LevelArrayConfig::shrink_watermark`] set,
-//! every 16th free on each pin stripe samples the newest epoch's advisory
-//! occupancy, each sample standing for the 16 frees around it.  Once the
-//! occupancy stays at or below the watermark for a full patience window (a
-//! streak of `max(C, 16)` frees' worth of consecutive low samples, so one
-//! transient dip never triggers), the array opens a **smaller** successor
-//! epoch — half the newest bound, never below the initial — and lets the
-//! oversized epoch drain behind it.  From there the existing retirement machinery runs
-//! unchanged, just in reverse: the big epoch is now non-newest, so the
-//! seal → grace → census → unlink protocol retires it as soon as its last
-//! holder frees, returning the memory the growth burst borrowed, except
-//! the one cell the array keeps as its spare.  `Get`,
-//! `Free` and `Collect` never block on a shrink any more than on a grow —
-//! both are one CAS on the chain head.
+//! the frees on each pin stripe sample the newest epoch's advisory
+//! occupancy once per 16 frees.  A `free` counts as one free and a
+//! `free_many` as its batch size, and a low sample stands for the 16 frees
+//! of every stride it crossed.  Each sample reads the census *before* its
+//! own release, so the `free_many` that ends a burst still sees the burst.
+//! Once the occupancy stays at or below the watermark for a full patience
+//! window (a streak of `max(C, 16)` frees' worth of consecutive low
+//! samples, so one transient dip never triggers), the array opens a
+//! **smaller** successor epoch — half the newest bound, never below the
+//! initial — and lets the oversized epoch drain behind it.  From there the
+//! existing retirement machinery runs unchanged, just in reverse: the big
+//! epoch is now non-newest, so the seal → grace → census → unlink protocol
+//! retires it as soon as its last holder frees, returning the memory the
+//! growth burst borrowed, except the one cell the array keeps as its spare.
+//! `Get`, `Free` and `Collect` never block on a shrink any more than on a
+//! grow — both are one CAS on the chain head.
 //!
 //! The patience window backs off when shrinking proves premature.  A
-//! published grow restarts the low streak; a grow that undoes a shrink
-//! doubles the window's multiplier, and a shrink that follows a shrink
-//! halves it again (the multiplier stays within 1..=2¹⁰, like the stuck-pin
-//! watchdog's exponent).  The first shrink after sustained low load waits
-//! the plain `max(C, 16)` frees, but a burst that keeps coming back stops
-//! the chain from publishing a grow/shrink pair per burst: the big epoch
-//! stays, and so does its tag budget.
+//! published grow restarts the low streak.  A grow that undoes a shrink
+//! sets the window's multiplier straight to its cap, 2¹⁰ (the stuck-pin
+//! watchdog's cap too), and a shrink that follows a shrink halves it.  The
+//! first shrink after sustained low load waits the plain `max(C, 16)`
+//! frees.  Once a burst has undone one, the next shrink needs
+//! `2¹⁰ · max(C, 16)` low frees in a row, and a burst that keeps coming
+//! back never supplies them: the `free_many` that releases each burst
+//! restarts the streak.  The big epoch stays, and so does its tag budget,
+//! while sustained low load still shrinks within the capped window.  A
+//! load whose low phases outlast that window still publishes a grow/shrink
+//! pair per burst, so tag recycling is still needed.
 //!
 //! # The spare cell
 //!
@@ -383,14 +390,15 @@ pub struct ElasticLevelArray {
     low_streak: Padded<AtomicUsize>,
     /// Exponent of the patience window's multiplier (see
     /// [`ElasticLevelArray::shrink_patience`]): a grow published after a
-    /// shrink raises it, a shrink published after a shrink lowers it, and
-    /// it stays within `0..=`[`MAX_SHRINK_BACKOFF_EXP`].  Advisory, like the
+    /// shrink sets it to [`MAX_SHRINK_BACKOFF_EXP`], and a shrink published
+    /// after a shrink lowers it by one, down to 0.  Advisory, like the
     /// streak — a racing publisher can lose an update, which only shifts
     /// one later window.
     shrink_backoff: StdAtomicU32,
     /// Whether the last epoch this array published was a shrink.
     shrunk_last: StdAtomicBool,
-    /// The shrink-sampling cadence: frees seen per pin stripe (see
+    /// The shrink-sampling cadence: frees seen per pin stripe since its
+    /// last stride boundary, always below [`SHRINK_SAMPLE_STRIDE`] (see
     /// [`ElasticLevelArray::note_shrink_sample`]).
     shrink_ticks: Box<[Padded<AtomicUsize>]>,
     /// Stuck-pin watchdog threshold
@@ -413,10 +421,10 @@ pub struct ElasticLevelArray {
 /// drops is noticed promptly no matter how long it was stuck.
 const MAX_BACKOFF_MS: u64 = 1024;
 
-/// Cap on the shrink backoff's exponent: the patience window grows to at
-/// most 2¹⁰ times its base, the same cap as the watchdog's (see
-/// [`MAX_BACKOFF_MS`]), so sustained low load still shrinks the chain in
-/// a bounded number of frees.
+/// Cap on the shrink backoff's exponent, and the value a grow that undoes
+/// a shrink sets it to: the patience window grows to at most 2¹⁰ times its
+/// base, the same cap as the watchdog's (see [`MAX_BACKOFF_MS`]), so
+/// sustained low load still shrinks the chain in a bounded number of frees.
 const MAX_SHRINK_BACKOFF_EXP: u32 = 10;
 
 impl ElasticLevelArray {
@@ -1178,20 +1186,22 @@ impl ElasticLevelArray {
     /// Feeds a published epoch into the shrink backoff.  A grow restarts
     /// the low streak (load before the store, as in `note_shrink_sample`:
     /// the streak is usually zero already).  A grow that undoes a shrink
-    /// raises the patience exponent, doubling the window the next shrink
-    /// waits out (see [`ElasticLevelArray::shrink_patience`]); a shrink
-    /// that follows a shrink means the load really fell, and lowers it.
+    /// sets the patience exponent to [`MAX_SHRINK_BACKOFF_EXP`]: the load
+    /// came back, so the next shrink waits out the capped window (see
+    /// [`ElasticLevelArray::shrink_patience`]).  A shrink that follows a
+    /// shrink means the load really fell, and lowers the exponent by one.
     fn note_published(&self, shrink: bool) {
         use std::sync::atomic::Ordering as StdOrdering;
         if !shrink && self.low_streak.0.load(Ordering::Relaxed) != 0 {
             self.low_streak.0.store(0, Ordering::Relaxed);
         }
         if self.shrunk_last.swap(shrink, StdOrdering::Relaxed) {
-            let exp = self.shrink_backoff.load(StdOrdering::Relaxed);
             let exp = if shrink {
-                exp.saturating_sub(1)
+                self.shrink_backoff
+                    .load(StdOrdering::Relaxed)
+                    .saturating_sub(1)
             } else {
-                (exp + 1).min(MAX_SHRINK_BACKOFF_EXP)
+                MAX_SHRINK_BACKOFF_EXP
             };
             self.shrink_backoff.store(exp, StdOrdering::Relaxed);
         }
@@ -1318,18 +1328,21 @@ impl ElasticLevelArray {
         published
     }
 
-    /// The free-side shrink sampler, run by every free on pin stripe
-    /// `stripe` with the `newest` epoch it observed.  Only every
-    /// [`SHRINK_SAMPLE_STRIDE`]-th free of a stripe samples: it records
-    /// whether the newest epoch's advisory occupancy sits at or below the
-    /// watermark, counting the sample as that many frees, and reports
-    /// `true` once the low streak has filled the patience window.  Sampling
-    /// sums every stripe's held counter and may write the shared streak, so
-    /// the stride keeps both off most frees.  Advisory by design — the held
-    /// counters can be mid-flight — but a false sample only shifts the
-    /// streak by one stride, and the window is sized so that sustained real
-    /// load always resets it.
-    fn note_shrink_sample(&self, stripe: usize, newest: &EpochCell) -> bool {
+    /// The free-side shrink sampler, run by a free of `frees` names (1 for
+    /// `free`, the batch size for `free_many`) on pin stripe `stripe` with
+    /// the `newest` epoch it observed, *before* the names are released, so
+    /// the census still counts them.  The call advances the stripe's
+    /// cadence by `frees` and samples once if that crossed any
+    /// [`SHRINK_SAMPLE_STRIDE`] boundary: it records whether the newest
+    /// epoch's advisory occupancy sits at or below the watermark, counting
+    /// a low sample as one stride of frees per boundary crossed, and
+    /// reports `true` once the low streak has filled the patience window.
+    /// Sampling sums every stripe's held counter and may write the shared
+    /// streak, so the stride keeps both off most frees.  Advisory by design
+    /// — the held counters can be mid-flight — but a false sample only
+    /// shifts the streak by the frees it stands for, and the window is
+    /// sized so that sustained real load always resets it.
+    fn note_shrink_sample(&self, stripe: usize, newest: &EpochCell, frees: usize) -> bool {
         let Some(watermark) = self.shrink_watermark else {
             return false;
         };
@@ -1337,20 +1350,22 @@ impl ElasticLevelArray {
             return false;
         }
         // A plain load and store, not an RMW: two threads sharing a stripe
-        // may lose a tick, which only stretches that stripe's cadence.
+        // may lose a tick, which only stretches that stripe's cadence.  The
+        // stored cadence stays below the stride and only `frees`'
+        // remainder is added to it, so no batch size can overflow the sum.
         let ticks = &self.shrink_ticks[stripe].0;
-        let tick = ticks.load(Ordering::Relaxed).wrapping_add(1);
-        ticks.store(tick, Ordering::Relaxed);
-        if tick % SHRINK_SAMPLE_STRIDE != 0 {
+        let carried = ticks.load(Ordering::Relaxed) + frees % SHRINK_SAMPLE_STRIDE;
+        ticks.store(carried % SHRINK_SAMPLE_STRIDE, Ordering::Relaxed);
+        let strides = frees / SHRINK_SAMPLE_STRIDE + carried / SHRINK_SAMPLE_STRIDE;
+        if strides == 0 {
             return false;
         }
         let held = newest.held_total();
         if (held as f64) <= watermark * (newest.contention as f64) {
-            let streak = self
-                .low_streak
-                .0
-                .fetch_add(SHRINK_SAMPLE_STRIDE, Ordering::Relaxed)
-                + SHRINK_SAMPLE_STRIDE;
+            // At most `frees + SHRINK_SAMPLE_STRIDE`: a slice of names is
+            // far shorter than `usize::MAX`.
+            let span = strides * SHRINK_SAMPLE_STRIDE;
+            let streak = self.low_streak.0.fetch_add(span, Ordering::Relaxed) + span;
             let backoff = self
                 .shrink_backoff
                 .load(std::sync::atomic::Ordering::Relaxed);
@@ -1370,9 +1385,10 @@ impl ElasticLevelArray {
     /// at 16 so tiny epochs still get hysteresis, times the backoff
     /// multiplier `2^backoff`.  Scaling with the bound means a big epoch —
     /// the expensive kind to reopen — demands proportionally longer
-    /// evidence of sustained low occupancy; the multiplier (see
-    /// `note_published`) stretches the window each time a shrink was
-    /// undone by the next burst's grow.
+    /// evidence of sustained low occupancy.  The multiplier (see
+    /// `note_published`) jumps to its cap, `2^`[`MAX_SHRINK_BACKOFF_EXP`],
+    /// once the next burst's grow undoes a shrink, and halves with each
+    /// shrink that follows a shrink.
     fn shrink_patience(contention: usize, backoff: u32) -> usize {
         contention.max(16).saturating_mul(1 << backoff)
     }
@@ -1477,11 +1493,9 @@ impl ActivityArray for ElasticLevelArray {
         let (drained_old_epoch, shrink_ready) = {
             let pin = self.chain.pin();
             let cell = Self::cell_for(&pin, name);
+            let shrink_ready = self.note_shrink_sample(pin.stripe(), pin.head().value(), 1);
             cell.backend.free(Name::new(name.index()));
-            (
-                Self::note_release(&pin, cell, 1),
-                self.note_shrink_sample(pin.stripe(), pin.head().value()),
-            )
+            (Self::note_release(&pin, cell, 1), shrink_ready)
         };
         // Arm the Free→Get hint with the epoch-tagged name.  If the deferred
         // retirement below unlinks the hinted epoch, the stale hint is
@@ -1512,9 +1526,13 @@ impl ActivityArray for ElasticLevelArray {
     /// ordering is epoch-major, so a single sort groups the names into
     /// per-epoch runs; each run strips its tags and releases through the
     /// owning cell's bulk kernel (`ShardGroup::free_many`), with one held
-    /// counter decrement per run.  A draining batch schedules a single
-    /// deferred retirement check after the pin drops, exactly like the
-    /// singleton [`ActivityArray::free`].
+    /// counter decrement per run.  Every run's cell is resolved and its
+    /// indices range-checked before any run is released, so a name from a
+    /// dead epoch or past its epoch's capacity leaves the whole batch held.
+    /// The shrink sampler sees the batch as `names.len()` frees, before the
+    /// release.  A draining batch schedules a single deferred retirement
+    /// check after the pin drops, exactly like the singleton
+    /// [`ActivityArray::free`].
     ///
     /// # Panics
     ///
@@ -1532,12 +1550,28 @@ impl ActivityArray for ElasticLevelArray {
             let pin = self.chain.pin();
             let mut sorted = names.to_vec();
             sorted.sort_unstable();
-            let mut drained_old_epoch = false;
+            // Each run ends where the next epoch starts; its last name has
+            // the run's largest index.
+            let mut runs = Vec::new();
             let mut start = 0;
             while start < sorted.len() {
                 let epoch = sorted[start].epoch();
                 let cell = Self::cell_for(&pin, sorted[start]);
                 let end = sorted.partition_point(|n| n.epoch() <= epoch);
+                let last = sorted[end - 1];
+                assert!(
+                    last.index() < cell.backend.capacity(),
+                    "name {last} out of range for epoch {epoch} of capacity {}",
+                    cell.backend.capacity()
+                );
+                runs.push((cell, end));
+                start = end;
+            }
+            let shrink_ready =
+                self.note_shrink_sample(pin.stripe(), pin.head().value(), names.len());
+            let mut drained_old_epoch = false;
+            let mut start = 0;
+            for (cell, end) in runs {
                 for name in &mut sorted[start..end] {
                     *name = Name::new(name.index());
                 }
@@ -1545,10 +1579,7 @@ impl ActivityArray for ElasticLevelArray {
                 drained_old_epoch |= Self::note_release(&pin, cell, end - start);
                 start = end;
             }
-            (
-                drained_old_epoch,
-                self.note_shrink_sample(pin.stripe(), pin.head().value()),
-            )
+            (drained_old_epoch, shrink_ready)
         };
         // Re-arm the Free→Get hint with the batch's last name (caller
         // order), matching the singleton free's epoch-tagged hint.
@@ -2379,6 +2410,130 @@ mod tests {
         }
     }
 
+    /// A 25%-watermark array grown from `initial` to a single epoch of
+    /// twice that bound, holding nothing, with the low streak at zero (see
+    /// `grow_and_converge`).
+    fn grown_watermark_array(initial: usize, seed: u64) -> ElasticLevelArray {
+        let array = LevelArrayConfig::new(initial)
+            .growth(GrowthPolicy::Doubling { max_epochs: 4 })
+            .shrink_watermark(0.25)
+            .build_elastic()
+            .unwrap();
+        grow_and_converge(&array, &mut default_rng(seed));
+        assert_eq!(
+            array.epoch_contention(array.newest_epoch()),
+            Some(2 * initial)
+        );
+        array
+    }
+
+    /// Saturates the newest epoch until the array grows, then frees the
+    /// old epoch's names, retires it, and frees the grown epoch's names.
+    /// The grow restarts the low streak, and both `free_many` calls sample
+    /// the grown epoch while it holds more than a quarter of its bound, so
+    /// the streak stays at zero.
+    fn grow_and_converge(array: &ElasticLevelArray, rng: &mut impl RandomSource) {
+        let newest = array.newest_epoch();
+        let bound = array.epoch_contention(newest).unwrap();
+        // Every name the old epoch can hold, plus a full bound in the new.
+        let names: Vec<Name> = (0..3 * bound + 2 * bound)
+            .map(|_| array.get(rng).name())
+            .collect();
+        let (old, grown): (Vec<Name>, Vec<Name>) =
+            names.into_iter().partition(|n| n.epoch() == newest);
+        assert!(grown.len() > bound, "the grown epoch holds too few names");
+        ActivityArray::free_many(array, &old);
+        array.try_retire();
+        assert_eq!(array.num_epochs(), 1);
+        ActivityArray::free_many(array, &grown);
+    }
+
+    /// `n` singleton Get+Free pairs, each freeing the one name it holds.
+    fn low_pairs(array: &ElasticLevelArray, rng: &mut impl RandomSource, n: usize) {
+        for _ in 0..n {
+            let got = array.get(rng);
+            array.free(got.name());
+        }
+    }
+
+    #[test]
+    fn a_burst_freed_in_one_batch_restarts_the_shrink_streak() {
+        // Bound 64: a patience window of 64 frees, four sample strides.
+        let array = grown_watermark_array(32, 37);
+        let window = 64;
+        let stride = SHRINK_SAMPLE_STRIDE;
+        let mut rng = default_rng(38);
+        let opened = array.epochs_opened();
+        low_pairs(&array, &mut rng, window - stride);
+        assert_eq!(
+            array.epochs_opened(),
+            opened,
+            "the streak is one stride short"
+        );
+        // A burst above the watermark (32 > 64 / 4), released by one
+        // free_many: its sample counts the burst and restarts the streak.
+        let mut burst = Vec::new();
+        assert_eq!(array.get_many(&mut rng, 32, &mut burst), 32);
+        let burst: Vec<Name> = burst.iter().map(|a| a.name()).collect();
+        ActivityArray::free_many(&array, &burst);
+        assert_eq!(array.low_streak.0.load(Ordering::Relaxed), 0);
+        low_pairs(&array, &mut rng, window - stride);
+        assert_eq!(
+            array.epochs_opened(),
+            opened,
+            "the burst's free_many must restart the low streak"
+        );
+        // The window counts from the burst: one more stride fills it.
+        low_pairs(&array, &mut rng, stride);
+        assert_eq!(array.epochs_opened(), opened + 1, "the full window shrinks");
+        assert_eq!(array.epoch_contention(array.newest_epoch()), Some(32));
+    }
+
+    #[test]
+    fn a_shrink_undone_by_a_grow_waits_the_capped_shrink_window() {
+        // Bound 16: a patience window of 16 frees, 16 << 10 at the cap.
+        let array = grown_watermark_array(8, 39);
+        let window = 16;
+        let mut rng = default_rng(40);
+        // The first shrink waits the plain window.
+        let opened = array.epochs_opened();
+        low_pairs(&array, &mut rng, window);
+        assert_eq!(
+            array.epochs_opened(),
+            opened + 1,
+            "the plain window shrinks"
+        );
+        array.try_retire();
+        // The next burst undoes the shrink.
+        grow_and_converge(&array, &mut rng);
+        assert_eq!(
+            array
+                .shrink_backoff
+                .load(std::sync::atomic::Ordering::Relaxed),
+            MAX_SHRINK_BACKOFF_EXP
+        );
+        let opened = array.epochs_opened();
+        low_pairs(&array, &mut rng, 3 * window);
+        assert_eq!(
+            array.epochs_opened(),
+            opened,
+            "a shrink the next burst undid must not be retried so soon"
+        );
+        // Sustained low load still shrinks within the capped window.
+        let capped = (1 << MAX_SHRINK_BACKOFF_EXP) * window;
+        let mut frees = 3 * window;
+        while array.epochs_opened() == opened {
+            assert!(frees < capped, "{frees} low frees never shrank the chain");
+            low_pairs(&array, &mut rng, 1);
+            frees += 1;
+        }
+        assert!(
+            frees > capped - SHRINK_SAMPLE_STRIDE,
+            "shrank after {frees} frees"
+        );
+        assert_eq!(array.epoch_contention(array.newest_epoch()), Some(8));
+    }
+
     #[test]
     fn get_many_spans_epochs_and_free_many_retires_them() {
         let array = ElasticLevelArray::new(4, GrowthPolicy::Doubling { max_epochs: 5 });
@@ -2485,6 +2640,44 @@ mod tests {
         );
         assert_eq!(array.collect(), vec![held]);
         assert_eq!(array.epoch_held(0), Some(1));
+    }
+
+    #[test]
+    fn free_many_with_a_bad_name_in_a_later_run_releases_nothing() {
+        // Every epoch run is resolved and range-checked before any run is
+        // released: a batch whose first run is good and whose last names a
+        // dead epoch, or an index past a live epoch's capacity, must leave
+        // every name held and the held counters unchanged.
+        for shard_group in [0, 2] {
+            let array = LevelArrayConfig::new(4)
+                .shard_group(shard_group)
+                .growth(GrowthPolicy::Doubling { max_epochs: 4 })
+                .build_elastic()
+                .unwrap();
+            let mut rng = default_rng(45);
+            let mut names = Vec::new();
+            while !names.iter().any(|n: &Name| n.epoch() == 1) {
+                names.push(array.get(&mut rng).name());
+            }
+            let grown_capacity = array.newest_shard_capacity() * array.newest_epoch_shards();
+            let held_before = [array.epoch_held(0), array.epoch_held(1)];
+            for bad in [Name::with_epoch(9, 0), Name::with_epoch(1, grown_capacity)] {
+                let mut batch = names.clone();
+                batch.push(bad);
+                let result = std::panic::catch_unwind(|| ActivityArray::free_many(&array, &batch));
+                assert!(result.is_err(), "g={shard_group}: {bad} must panic");
+                for &name in &names {
+                    assert!(array.is_held(name), "g={shard_group}: {name} released");
+                }
+                assert_eq!(
+                    [array.epoch_held(0), array.epoch_held(1)],
+                    held_before,
+                    "g={shard_group}: the held counters moved"
+                );
+            }
+            ActivityArray::free_many(&array, &names);
+            assert!(array.collect().is_empty());
+        }
     }
 
     #[test]

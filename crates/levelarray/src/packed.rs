@@ -479,50 +479,6 @@ impl PackedSlots {
         total
     }
 
-    /// Calls `f` with the index of every held slot in `range`, in increasing
-    /// order.  Words are snapshotted `LANES` at a time; all-free chunks are
-    /// skipped with one OR-reduction before any bit is walked.
-    #[inline]
-    pub fn for_each_held(&self, range: Range<usize>, mut f: impl FnMut(usize)) {
-        let span = self.span(range);
-        if span.is_empty() {
-            return;
-        }
-        if span.first == span.last {
-            let bits =
-                self.words[span.first].load(Ordering::Acquire) & span.head_mask & span.tail_mask;
-            Self::walk_bits(span.first * BITS, bits, &mut f);
-            return;
-        }
-        Self::walk_bits(
-            span.first * BITS,
-            self.words[span.first].load(Ordering::Acquire) & span.head_mask,
-            &mut f,
-        );
-        let mut base = (span.first + 1) * BITS;
-        let mut interior = self.words[span.first + 1..span.last].chunks_exact(LANES);
-        for chunk in interior.by_ref() {
-            let snap = Self::load_chunk(chunk);
-            if Self::chunk_any(snap) {
-                for bits in snap {
-                    Self::walk_bits(base, bits, &mut f);
-                    base += BITS;
-                }
-            } else {
-                base += LANES * BITS;
-            }
-        }
-        for word in interior.remainder() {
-            Self::walk_bits(base, word.load(Ordering::Acquire), &mut f);
-            base += BITS;
-        }
-        Self::walk_bits(
-            span.last * BITS,
-            self.words[span.last].load(Ordering::Acquire) & span.tail_mask,
-            &mut f,
-        );
-    }
-
     /// Appends a [`Name`] for every held slot in `range` (offset by
     /// `name_base`) to `out`, in increasing order — the `Collect` hot path.
     ///
@@ -586,8 +542,10 @@ impl PackedSlots {
         count
     }
 
-    /// One-word-at-a-time variant of [`Self::for_each_held`] — see
-    /// [`Self::count_held_scalar`].
+    /// Calls `f` with the index of every held slot in `range`, in increasing
+    /// order, one word at a time: the reference walk the differential tests
+    /// check [`Self::collect_into`] against, and the `collect-scalar` bench
+    /// reference cell (see [`Self::count_held_scalar`]).
     #[doc(hidden)]
     pub fn for_each_held_scalar(&self, range: Range<usize>, mut f: impl FnMut(usize)) {
         self.for_each_word(range, |base, bits| Self::walk_bits(base, bits, &mut f));
@@ -679,8 +637,11 @@ mod tests {
         assert_eq!(s.count_held(10..10), 0);
 
         let mut seen = Vec::new();
-        s.for_each_held(60..151, |idx| seen.push(idx));
-        assert_eq!(seen, vec![63, 64, 100, 150]);
+        s.collect_into(60..151, 0, &mut seen);
+        assert_eq!(seen, [63, 64, 100, 150].map(Name::new));
+        let mut walked = Vec::new();
+        s.for_each_held_scalar(60..151, |idx| walked.push(idx));
+        assert_eq!(walked, vec![63, 64, 100, 150]);
         assert!(s.any_held());
     }
 
@@ -691,8 +652,11 @@ mod tests {
         assert!(s.try_acquire(127, TasKind::Swap));
         assert_eq!(s.count_held(0..128), 1);
         let mut seen = Vec::new();
-        s.for_each_held(64..128, |idx| seen.push(idx));
-        assert_eq!(seen, vec![127]);
+        s.collect_into(64..128, 0, &mut seen);
+        assert_eq!(seen, [Name::new(127)]);
+        let mut walked = Vec::new();
+        s.for_each_held_scalar(64..128, |idx| walked.push(idx));
+        assert_eq!(walked, vec![127]);
     }
 
     /// Exactly one of many concurrent acquirers can win a free slot, for both
@@ -760,8 +724,8 @@ mod tests {
                     );
                     let mut batched = Vec::new();
                     let mut scalar = Vec::new();
-                    s.for_each_held(range.clone(), |i| batched.push(i));
-                    s.for_each_held_scalar(range.clone(), |i| scalar.push(i));
+                    s.collect_into(range.clone(), 0, &mut batched);
+                    s.for_each_held_scalar(range.clone(), |i| scalar.push(Name::new(i)));
                     assert_eq!(batched, scalar, "walk len {len} range {range:?}");
                     assert_eq!(
                         s.any_held(),
@@ -934,9 +898,9 @@ mod tests {
 
     /// `collect_into` appends exactly the held names (offset by the base), in
     /// increasing order, preserving whatever the vector already holds; the
-    /// epoch-tagged `collect_raw_into` tags every name; and the walk,
-    /// `count_held` and `any_held` agree with the same per-slot `is_held`
-    /// oracle.  Lengths run
+    /// epoch-tagged `collect_raw_into` tags every name; and the scalar
+    /// reference walk, `count_held` and `any_held` agree with the same
+    /// per-slot `is_held` oracle.  Lengths run
     /// from one word to several 16-word Collect blocks (1025 and 3000 slots
     /// end just past a block and mid-block), each with a random occupancy,
     /// over the whole slab, ranges starting and ending inside words, and
@@ -983,7 +947,7 @@ mod tests {
                     .collect();
                 assert_eq!(tagged, expected, "tagged, {case}");
                 let mut walked = Vec::new();
-                s.for_each_held(range.clone(), |i| walked.push(i));
+                s.for_each_held_scalar(range.clone(), |i| walked.push(i));
                 assert_eq!(walked, held(range.clone()), "walk, {case}");
                 assert_eq!(s.count_held(range.clone()), expected.len(), "count, {case}");
             }

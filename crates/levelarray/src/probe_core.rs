@@ -912,17 +912,15 @@ mod tests {
         // Uniform(1): one probe per batch.
         assert_eq!(c.exhausted_probe_count(), batches + 64);
 
-        let per_batch = ProbeCore::new(
+        let uniform = ProbeCore::new(
             BatchGeometry::for_contention(64),
             0,
-            ProbePolicy::PerBatch(vec![4, 2, 1]),
+            ProbePolicy::Uniform(3),
             TasKind::default(),
             SlotLayout::WordPerSlot,
         );
-        let expected: u32 = (0..per_batch.geometry().num_batches())
-            .map(|b| per_batch.probe_policy().probes_in_batch(b))
-            .sum();
-        assert_eq!(per_batch.exhausted_probe_count(), expected);
+        let batches = uniform.geometry().num_batches() as u32;
+        assert_eq!(uniform.exhausted_probe_count(), 3 * batches);
     }
 
     #[test]

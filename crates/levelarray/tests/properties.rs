@@ -209,17 +209,17 @@ proptest! {
         prop_assert_eq!(hist_total, stats.operations());
     }
 
-    /// Per-batch probe policies are respected: with all of batch 0 forced to
-    /// be occupied, an operation performs exactly c_0 probes in batch 0 before
+    /// The probe policy is respected: with all of batch 0 forced to be
+    /// occupied, an operation performs exactly `c` probes in batch 0 before
     /// moving on (observable through the total probe count lower bound).
     #[test]
     fn probe_policy_lower_bounds_probe_count(
         seed in any::<u64>(),
-        c0 in 1u32..6,
+        c in 1u32..6,
     ) {
         let n = 32;
         let array = LevelArrayConfig::new(n)
-            .probe_policy(ProbePolicy::PerBatch(vec![c0, 1]))
+            .probe_policy(ProbePolicy::Uniform(c))
             .build()
             .unwrap();
         // Occupy every slot of batch 0.
@@ -228,7 +228,7 @@ proptest! {
         }
         let mut rng = default_rng(seed);
         let got = array.get(&mut rng);
-        prop_assert!(got.probes() > c0, "stopped too early: {} probes", got.probes());
+        prop_assert!(got.probes() > c, "stopped too early: {} probes", got.probes());
         prop_assert_ne!(got.batch(), Some(0));
     }
 

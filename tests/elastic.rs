@@ -354,8 +354,14 @@ fn burst_cycle(
 }
 
 /// Runs `cycles` burst cycles from a [`BURST_LOW`] prefill, asserting that
-/// every climb filled, and returns the names held afterwards.
-fn run_bursts(array: &ElasticLevelArray, seed: u64, cycles: usize) -> VecDeque<Name> {
+/// every climb filled, and returns the names held afterwards.  `after`
+/// sees each cycle's number once the cycle has finished.
+fn run_bursts(
+    array: &ElasticLevelArray,
+    seed: u64,
+    cycles: usize,
+    mut after: impl FnMut(usize),
+) -> VecDeque<Name> {
     let mut rng = default_rng(seed);
     let mut held: VecDeque<Name> = (0..BURST_LOW).map(|_| array.get(&mut rng).name()).collect();
     for cycle in 0..cycles {
@@ -366,31 +372,44 @@ fn run_bursts(array: &ElasticLevelArray, seed: u64, cycles: usize) -> VecDeque<N
             "cycle {cycle}: get_many came back {short} names short after {} epochs opened",
             array.epochs_opened()
         );
+        after(cycle);
     }
     held
 }
 
-/// A burst that recurs must not rebuild the chain every cycle.  Without a
-/// shrink backoff each cycle publishes a grow (the climb outgrows the
-/// 64-bound epoch) and a shrink (the low phase sits under the watermark),
-/// so one array burns two of its 1024 epoch tags per cycle and from cycle
-/// 512 on can no longer grow: `get_many` comes back short.  The backoff
-/// doubles the shrink patience each time a grow undoes a shrink, so 600
-/// cycles open a few dozen epochs at most.
+/// A burst that recurs keeps its epoch.  Each cycle's climb outgrows a
+/// 64-bound epoch and grows to 128, and each low phase sits under the
+/// watermark.  The `free_many` that releases a burst samples the census
+/// before it releases, so it sees the burst and restarts the low streak.
+/// The one shrink that does fire, in the first low phase, is undone by the
+/// next climb, and that grow sets the shrink patience to its capped window
+/// (2¹⁰ times the bound, in frees), which no low phase outlasts.  So the
+/// chain settles within the first cycles — the initial epoch, the grows to
+/// 64 and 128, the shrink to 64 and the grow that undoes it — and spends
+/// no epoch tag from cycle 50 to cycle 2000.
 ///
-/// This bounds the rate, not the lifetime: at the backoff's cap a
-/// single-threaded loop like this one still publishes an epoch pair about
-/// every 250 cycles (its low phases never reset the streak), so the tag
-/// space still runs out eventually.  Recycling retired tags — the ROADMAP's
+/// A load whose low phases outlast the capped window still publishes a
+/// grow/shrink pair per burst, so recycling retired tags — the ROADMAP's
 /// tag-recycling item — stays open.
 #[test]
 fn recurring_bursts_keep_their_epoch() {
     let array = bursty_elastic();
-    let mut held = run_bursts(&array, 0xB025_7001, 600);
-    let opened = array.epochs_opened();
-    assert!(
-        opened <= 64,
-        "600 burst cycles opened {opened} epochs: the chain thrashes"
+    let settled = 50;
+    let mut opened = 0;
+    let mut held = run_bursts(&array, 0xB025_7001, 2000, |cycle| {
+        if cycle + 1 == settled {
+            opened = array.epochs_opened();
+        } else if cycle >= settled {
+            assert_eq!(
+                array.epochs_opened(),
+                opened,
+                "cycle {cycle} opened an epoch after the chain settled"
+            );
+        }
+    });
+    assert_eq!(
+        opened, 5,
+        "the first {settled} cycles opened {opened} epochs"
     );
     ActivityArray::free_many(&array, held.make_contiguous());
 }
@@ -402,7 +421,7 @@ fn recurring_bursts_keep_their_epoch() {
 #[test]
 fn low_churn_after_recurring_bursts_still_shrinks_the_chain() {
     let array = bursty_elastic();
-    let mut held = run_bursts(&array, 0xB025_7001, 600);
+    let mut held = run_bursts(&array, 0xB025_7001, 600, |_| {});
     let mut rng = default_rng(0x10_C4C2);
     // 230 names outgrow a 64-bound epoch (capacity 192), so the bursts
     // settle on a 128-bound one.

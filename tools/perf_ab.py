@@ -25,7 +25,14 @@ change median is worse than the base median by more than the bound) or
 `ok`.  The `claim` column reads `gain` when the change won at least 9 of
 every 10 pairs and the medians lie further apart than the base's
 interquartile range (the test a claimed gain must pass), and is empty
-otherwise.  The verdicts and claims do not change the exit status.  The
+otherwise.  The verdicts and claims do not change the exit status.
+
+A metric that no pair read on both sides still gets a row: a run reports
+null for a metric it did not measure (a per-layer rung that times an event
+the run never saw, such as `epoch_chain.grow_call_us.*` when the traced
+replay never grows the chain).  Each side's cell then holds its median over
+the runs that read the metric, followed by `null in k/N` when k of the N
+pairs read null on that side, and the comparison columns read `-`.  The
 per-pair values are written to
 target/perf-ab/<workload>-seed<S>-trace<T>.json.  Exits non-zero if a
 build or a run fails or a run is not `"correct": true`.
@@ -119,6 +126,16 @@ def claim(won: int, pairs: int, apart: bool) -> str:
     return "gain" if apart and 10 * won >= 9 * pairs else ""
 
 
+def side_cell(values: list) -> str:
+    """One side's cell for a metric that no pair read on both sides: its
+    median and quartiles over the runs that read it, and how many read null."""
+    read = [v for v in values if v is not None]
+    nulls = f"null in {len(values) - len(read)}/{len(values)}"
+    if not read:
+        return nulls
+    return cell(quartiles(read)) + (f", {nulls}" if len(read) < len(values) else "")
+
+
 def report(spec: list[dict], pairs: list[dict]) -> None:
     header = f"{'metric':<34} {'base median [q1-q3]':>28} {'change median [q1-q3]':>28}" \
              f" {'ratio':>7} {'won':>6} {'apart':>6} {'bound':>10} {'claim':>5}"
@@ -129,6 +146,9 @@ def report(spec: list[dict], pairs: list[dict]) -> None:
         both = [(p["base"].get(name), p["change"].get(name)) for p in pairs]
         both = [(b, c) for b, c in both if b is not None and c is not None]
         if not both:
+            base, change = ([p[side].get(name) for p in pairs] for side in SIDES)
+            print(f"{name:<34} {side_cell(base):>28} {side_cell(change):>28} {'-':>7}"
+                  f" {'-':>6} {'-':>6} {'-':>10} {'':>5}")
             continue
         base = quartiles([b for b, _ in both])
         change = quartiles([c for _, c in both])
