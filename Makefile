@@ -185,11 +185,11 @@ loom:
 
 # Crash-robustness gate (see docs/ROBUSTNESS.md).  `--cfg la_fault` turns
 # the `la_fault::fail_point!` sites threaded through probe_core, packed,
-# the epoch chain, the registry, reclamation and the combiner hand-off
-# live; the full workspace suite then runs with the sites compiled in but
-# *inert* (no plan armed — proving the instrumentation itself changes no
-# behavior), followed by the panic_safety storms, which arm seeded plans
-# per test.  The storm binary is serialized (`--test-threads=1`): la_fault's
+# the epoch chain, the elastic array, reclamation and the combiner
+# hand-off live; the full workspace suite then runs with the sites
+# compiled in but *inert* (no plan armed — proving the instrumentation
+# itself changes no behavior), followed by the panic_safety storms, which
+# arm seeded plans per test.  The storm binary is serialized (`--test-threads=1`): la_fault's
 # plan is process-global.  A dedicated target dir keeps the RUSTFLAGS-keyed
 # cache away from the normal build.
 fault:

@@ -21,8 +21,7 @@ use std::time::{Duration, Instant};
 use la_baselines::{LinearProbingArray, LinearScanArray, RandomArray};
 use larng::{default_rng, SeedSequence};
 use levelarray::{
-    ActivityArray, GetStats, GrowthPolicy, LevelArrayConfig, ProbePolicy, ShardedLevelArray,
-    SlotLayout, TasKind,
+    ActivityArray, GetStats, GrowthPolicy, LevelArrayConfig, ShardedLevelArray, SlotLayout, TasKind,
 };
 
 /// Which algorithm a workload run exercises.
@@ -153,7 +152,7 @@ impl Algorithm {
             Algorithm::LevelArrayProbes(c) => Arc::new(
                 config
                     .clone()
-                    .probe_policy(ProbePolicy::Uniform(*c))
+                    .probes_per_batch(*c)
                     .build()
                     .expect("valid configuration"),
             ),

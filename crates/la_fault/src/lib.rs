@@ -18,8 +18,9 @@
 //! * **Die** — unwind with a [`ThreadDeath`] payload, modeling a client
 //!   crash.  Unwinding (rather than aborting) is deliberate: it lets the
 //!   drop-order rollback run exactly as a real `catch_unwind`-isolated
-//!   worker crash would, while *abrupt* death (no unwind at all) is modeled
-//!   one layer up by a leased client that simply stops heartbeating.
+//!   worker crash would.  A client that dies without unwinding leaves its
+//!   names held; the caller that tracks its live clients recovers them by
+//!   freeing the `collect()` entries no live client holds.
 //! * **Pause** — park the thread until [`release_paused`] is called; the
 //!   deterministic way to manufacture a stuck pin for watchdog tests.
 //!

@@ -1,8 +1,8 @@
 //! The synchronization facade the lock-free core is written against.
 //!
 //! Every crate holding `unsafe` concurrent code in this workspace —
-//! `levelarray::{epoch_chain, elastic, packed, probe_core, registry,
-//! slot}`, `la_reclaim::{domain, stack}`, `la_flatcombine::engine` —
+//! `levelarray::{epoch_chain, elastic, packed, probe_core, slot}`,
+//! `la_reclaim::{domain, stack}`, `la_flatcombine::engine` —
 //! imports its atomics, `UnsafeCell` wrapper, and thread primitives from
 //! here instead of `std`:
 //!

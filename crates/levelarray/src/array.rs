@@ -143,7 +143,9 @@ pub trait ActivityArray: Send + Sync + std::fmt::Debug {
     /// # Panics
     ///
     /// Implementations panic if any name is out of range, duplicated within
-    /// the batch, or not currently held (a double free).
+    /// the batch, or not currently held (a double free).  The crate's
+    /// facades check the whole batch first and panic with every name still
+    /// held; the default loop has released the names it reached.
     fn free_many(&self, names: &[Name]) {
         for &name in names {
             self.free(name);

@@ -65,7 +65,8 @@ pub(crate) struct ShardGroup {
 impl ShardGroup {
     /// Splits `config`'s contention bound `n` over `shards` cores of bound
     /// `⌈n / S⌉` each, every one built with the configuration's space
-    /// factor, probe policy, backup setting, TAS primitive and slot layout.
+    /// factor, probes per batch, backup setting, TAS primitive and slot
+    /// layout.
     /// The total backup `S · ⌈n / S⌉ ≥ n` keeps the paper's wait-freedom
     /// argument: the steal walk always reaches a shard whose backup has a
     /// free slot while at most `n` names are held.
@@ -315,37 +316,57 @@ impl ShardGroup {
         core.free(local);
     }
 
-    /// The batched `Free`: sorts the dense names once, splits them into
-    /// per-shard runs and releases each run through the owning core's bulk
-    /// kernel ([`ProbeCore::free_many`]); a one-shard group hands the batch
-    /// to its core unsorted.  Like that kernel, it checks every name before
-    /// it releases any, so a bad name leaves the whole batch held.
+    /// The batched `Free`: sorts the dense names once, checks every
+    /// per-shard run and then releases each run through the owning core's
+    /// bulk kernel, so a bad name leaves the whole batch held.
     ///
     /// # Panics
     ///
     /// Panics on a tagged or out-of-range name, or a double free.
     pub(crate) fn free_many(&self, names: &[Name]) {
-        let shards = match &self.cores {
-            Cores::Single(core) => return core.free_many(names),
-            Cores::Padded(shards) => shards,
-        };
-        let mut sorted = names.to_vec();
+        let mut sorted: Vec<usize> = names.iter().map(|name| name.raw()).collect();
         sorted.sort_unstable();
-        // The order is epoch-major, so the largest name is the one to check:
-        // if it is an in-range epoch-0 name, so is every other.
+        self.check_sorted(&sorted);
+        self.release_sorted(&sorted);
+    }
+
+    /// Verifies a batch of sorted dense indices before any of it is
+    /// released: in range, distinct and held ([`ProbeCore::check_sorted`]
+    /// on every shard's run).
+    ///
+    /// # Panics
+    ///
+    /// Panics, having released nothing, on an out-of-range index (or a raw
+    /// value carrying an epoch tag), or a double free.
+    pub(crate) fn check_sorted(&self, sorted: &[usize]) {
+        // The largest raw value is the one to check: if it is an in-range
+        // epoch-0 name, so is every other.
         if let Some(&last) = sorted.last() {
-            self.split(last);
+            self.split(Name::from_raw(last));
         }
+        self.for_each_run(sorted, ProbeCore::check_sorted);
+    }
+
+    /// Releases a batch of sorted dense indices that
+    /// [`ShardGroup::check_sorted`] passed.
+    pub(crate) fn release_sorted(&self, sorted: &[usize]) {
+        self.for_each_run(sorted, ProbeCore::release_sorted);
+    }
+
+    /// Calls `f(core, run, base)` for every shard's run of the sorted dense
+    /// indices, `base` being the shard's first dense index.
+    fn for_each_run(&self, sorted: &[usize], f: impl Fn(&ProbeCore, &[usize], usize)) {
         let mut start = 0;
         while start < sorted.len() {
-            let shard = sorted[start].index() / self.shard_capacity;
+            let shard = sorted[start] / self.shard_capacity;
             let base = shard * self.shard_capacity;
             let end =
-                start + sorted[start..].partition_point(|n| n.index() < base + self.shard_capacity);
-            for name in &mut sorted[start..end] {
-                *name = Name::new(name.index() - base);
-            }
-            shards[shard].0.free_many(&sorted[start..end]);
+                start + sorted[start..].partition_point(|&idx| idx < base + self.shard_capacity);
+            let core = match &self.cores {
+                Cores::Single(core) => core,
+                Cores::Padded(shards) => &shards[shard].0,
+            };
+            f(core, &sorted[start..end], base);
             start = end;
         }
     }

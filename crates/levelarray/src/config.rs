@@ -13,38 +13,6 @@ use crate::geometry::BatchGeometry;
 use crate::occupancy::OccupancySnapshot;
 use crate::slot::{SlotLayout, TasKind};
 
-/// How many random probes a `Get` performs in each batch before moving on.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum ProbePolicy {
-    /// The same number of probes in every batch.  The paper's implementation
-    /// uses `Uniform(1)`; its analysis assumes a larger constant (≥ 16) purely
-    /// to obtain high-probability concentration bounds.
-    Uniform(u32),
-}
-
-impl Default for ProbePolicy {
-    fn default() -> Self {
-        ProbePolicy::Uniform(1)
-    }
-}
-
-impl ProbePolicy {
-    /// The number of probes to perform in batch `batch` (the same in every
-    /// batch).
-    pub fn probes_in_batch(&self, _batch: usize) -> u32 {
-        match self {
-            ProbePolicy::Uniform(c) => *c,
-        }
-    }
-
-    fn validate(&self) -> Result<(), ConfigError> {
-        match self {
-            ProbePolicy::Uniform(0) => Err(ConfigError::ZeroProbes),
-            ProbePolicy::Uniform(_) => Ok(()),
-        }
-    }
-}
-
 /// How an elastic array reacts when its newest epoch saturates (every random
 /// probe lost *and* the sequential backup region is full).
 ///
@@ -137,7 +105,7 @@ impl GrowthPolicy {
 pub struct LevelArrayConfig {
     max_concurrency: usize,
     space_factor: f64,
-    probe_policy: ProbePolicy,
+    probes_per_batch: u32,
     backup: bool,
     tas_kind: TasKind,
     slot_layout: SlotLayout,
@@ -182,7 +150,7 @@ impl LevelArrayConfig {
         LevelArrayConfig {
             max_concurrency,
             space_factor: 2.0,
-            probe_policy: ProbePolicy::default(),
+            probes_per_batch: 1,
             backup: true,
             tas_kind: TasKind::default(),
             slot_layout: SlotLayout::default(),
@@ -211,16 +179,12 @@ impl LevelArrayConfig {
         self
     }
 
-    /// Sets a uniform number of probes per batch (paper implementation: 1).
+    /// Sets the number of random probes a `Get` performs in every batch
+    /// before moving on (the paper's `c_i`, the same in every batch).  The
+    /// paper's implementation uses 1; its analysis assumes a larger constant
+    /// (≥ 16) purely to obtain high-probability concentration bounds.
     pub fn probes_per_batch(mut self, probes: u32) -> Self {
-        self.probe_policy = ProbePolicy::Uniform(probes);
-        self
-    }
-
-    /// Sets the probe policy (paper implementation: `Uniform(1)`; paper
-    /// analysis: `Uniform(c)` with `c ≥ 16`).
-    pub fn probe_policy(mut self, policy: ProbePolicy) -> Self {
-        self.probe_policy = policy;
+        self.probes_per_batch = probes;
         self
     }
 
@@ -435,7 +399,7 @@ impl LevelArrayConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if `n == 0`, the space factor is not a finite
-    /// value `≥ 1`, the probe policy asks for zero probes, or an elastic knob
+    /// value `≥ 1`, `probes_per_batch` is zero, or an elastic knob
     /// (growth policy, pin stripes, shrink watermark) is out of range.
     pub fn validate(&self) -> Result<ValidatedConfig, ConfigError> {
         if self.max_concurrency == 0 {
@@ -444,7 +408,9 @@ impl LevelArrayConfig {
         if !self.space_factor.is_finite() || self.space_factor < 1.0 {
             return Err(ConfigError::InvalidSpaceFactor(self.space_factor));
         }
-        self.probe_policy.validate()?;
+        if self.probes_per_batch == 0 {
+            return Err(ConfigError::ZeroProbes);
+        }
         self.growth.validate()?;
         if self.pin_stripes == 0 {
             return Err(ConfigError::ZeroPinStripes);
@@ -464,7 +430,7 @@ impl LevelArrayConfig {
             max_concurrency: self.max_concurrency,
             geometry,
             backup_len,
-            probe_policy: self.probe_policy.clone(),
+            probes_per_batch: self.probes_per_batch,
             tas_kind: self.tas_kind,
             slot_layout: self.slot_layout,
             free_hint: self.free_hint,
@@ -511,7 +477,7 @@ pub struct ValidatedConfig {
     pub(crate) max_concurrency: usize,
     pub(crate) geometry: BatchGeometry,
     pub(crate) backup_len: usize,
-    pub(crate) probe_policy: ProbePolicy,
+    pub(crate) probes_per_batch: u32,
     pub(crate) tas_kind: TasKind,
     pub(crate) slot_layout: SlotLayout,
     pub(crate) free_hint: bool,
@@ -519,13 +485,13 @@ pub struct ValidatedConfig {
 
 impl ValidatedConfig {
     /// Materializes the probing core this configuration describes (the slots,
-    /// geometry, probe policy and TAS primitive — everything except the
+    /// geometry, probes per batch and TAS primitive — everything except the
     /// contention bound, which belongs to the facade).
     pub fn into_probe_core(self) -> crate::probe_core::ProbeCore {
         crate::probe_core::ProbeCore::new(
             self.geometry,
             self.backup_len,
-            self.probe_policy,
+            self.probes_per_batch,
             self.tas_kind,
             self.slot_layout,
         )
@@ -539,7 +505,7 @@ pub enum ConfigError {
     ZeroConcurrency,
     /// The space factor was below 1 or not finite.
     InvalidSpaceFactor(f64),
-    /// A probe policy requested zero probes per batch.
+    /// `probes_per_batch` was zero.
     ZeroProbes,
     /// A sharded build was requested with zero shards.
     ZeroShards,
@@ -590,7 +556,7 @@ mod tests {
         assert_eq!(v.geometry.main_len(), 128);
         assert_eq!(v.geometry.batch_len(0), 96);
         assert_eq!(v.backup_len, 64);
-        assert_eq!(v.probe_policy.probes_in_batch(0), 1);
+        assert_eq!(v.probes_per_batch, 1);
         assert_eq!(v.tas_kind, TasKind::CompareExchange);
         assert_eq!(v.slot_layout, SlotLayout::WordPerSlot);
     }
@@ -632,7 +598,11 @@ mod tests {
 
     #[test]
     fn probe_policies() {
-        assert_eq!(ProbePolicy::Uniform(3).probes_in_batch(7), 3);
+        let array = LevelArrayConfig::new(8)
+            .probes_per_batch(3)
+            .build()
+            .unwrap();
+        assert_eq!(array.probes_per_batch(), 3);
     }
 
     #[test]

@@ -350,8 +350,8 @@ impl std::fmt::Debug for EpochCell {
 pub struct ElasticLevelArray {
     /// The lock-free chain of live epoch cells, newest first.
     chain: EpochChain<Arc<EpochCell>>,
-    /// The shared knobs (space factor, probe policy, backup, TAS) every epoch
-    /// is built from; its contention bound is the *initial* epoch's.
+    /// The shared knobs (space factor, probes per batch, backup, TAS) every
+    /// epoch is built from; its contention bound is the *initial* epoch's.
     base: LevelArrayConfig,
     growth: GrowthPolicy,
     /// Whether a draining free schedules the deferred retirement check.
@@ -445,9 +445,9 @@ impl ElasticLevelArray {
 
     /// Builds an elastic array from a shared configuration: the initial epoch
     /// has the configuration's contention bound, and every later epoch reuses
-    /// the same knobs (space factor, probe policy, backup, TAS) at a doubled
-    /// bound, per [`LevelArrayConfig::growth_policy`].  The retirement seam
-    /// is tuned by [`LevelArrayConfig::auto_retire`] and
+    /// the same knobs (space factor, probes per batch, backup, TAS) at a
+    /// doubled bound, per [`LevelArrayConfig::growth_policy`].  The
+    /// retirement seam is tuned by [`LevelArrayConfig::auto_retire`] and
     /// [`LevelArrayConfig::pin_stripes`].
     ///
     /// # Errors
@@ -988,14 +988,9 @@ impl ElasticLevelArray {
 
     /// A snapshot of the array's liveness-degradation state: the oldest
     /// active pin's age, and how many retirement passes and shrinks the
-    /// stuck-pin watchdog has deferred.  The orphan/quarantine counters are
-    /// zero here — they belong to the lease layer
-    /// ([`crate::lease::LeaseRegistry::robustness_report`] merges both
-    /// views).
+    /// stuck-pin watchdog has deferred.
     pub fn robustness_report(&self) -> RobustnessReport {
         RobustnessReport {
-            orphaned_reclaimed: 0,
-            quarantined: 0,
             oldest_pin_age_ms: self.chain.oldest_pin_age_ms(),
             deferred_shrinks: self
                 .deferred_shrinks
@@ -1522,17 +1517,17 @@ impl ActivityArray for ElasticLevelArray {
     }
 
     /// The batched `Free`: ONE chain pin and one epoch-tag decode (cell
-    /// lookup) per epoch *run* cover the whole batch.  [`Name`]'s derived
-    /// ordering is epoch-major, so a single sort groups the names into
-    /// per-epoch runs; each run strips its tags and releases through the
-    /// owning cell's bulk kernel (`ShardGroup::free_many`), with one held
+    /// lookup) per epoch *run* cover the whole batch.  [`Name`]'s encoding
+    /// is epoch-major, so a single sort groups the names into per-epoch
+    /// runs; each run strips its tags and releases through the owning
+    /// cell's bulk kernel (`ShardGroup::release_sorted`), with one held
     /// counter decrement per run.  Every run's cell is resolved and its
-    /// indices range-checked before any run is released, so a name from a
-    /// dead epoch or past its epoch's capacity leaves the whole batch held.
-    /// The shrink sampler sees the batch as `names.len()` frees, before the
-    /// release.  A draining batch schedules a single deferred retirement
-    /// check after the pin drops, exactly like the singleton
-    /// [`ActivityArray::free`].
+    /// slots checked (in range, distinct, held) before the shrink sample and
+    /// before any run is released, so a bad name leaves the whole batch
+    /// held and every held counter unchanged.  The shrink sampler sees the
+    /// batch as `names.len()` frees, before the release.  A draining batch
+    /// schedules a single deferred retirement check after the pin drops,
+    /// exactly like the singleton [`ActivityArray::free`].
     ///
     /// # Panics
     ///
@@ -1548,22 +1543,21 @@ impl ActivityArray for ElasticLevelArray {
         fail_point!("elastic::free_many");
         let (drained_old_epoch, shrink_ready) = {
             let pin = self.chain.pin();
-            let mut sorted = names.to_vec();
+            let mut sorted: Vec<usize> = names.iter().map(|name| name.raw()).collect();
             sorted.sort_unstable();
-            // Each run ends where the next epoch starts; its last name has
-            // the run's largest index.
+            // Each run ends where the next epoch starts.
             let mut runs = Vec::new();
             let mut start = 0;
             while start < sorted.len() {
-                let epoch = sorted[start].epoch();
-                let cell = Self::cell_for(&pin, sorted[start]);
-                let end = sorted.partition_point(|n| n.epoch() <= epoch);
-                let last = sorted[end - 1];
-                assert!(
-                    last.index() < cell.backend.capacity(),
-                    "name {last} out of range for epoch {epoch} of capacity {}",
-                    cell.backend.capacity()
-                );
+                let first = Name::from_raw(sorted[start]);
+                let cell = Self::cell_for(&pin, first);
+                let end = start
+                    + sorted[start..]
+                        .partition_point(|&raw| Name::from_raw(raw).epoch() == first.epoch());
+                for raw in &mut sorted[start..end] {
+                    *raw = Name::from_raw(*raw).index();
+                }
+                cell.backend.check_sorted(&sorted[start..end]);
                 runs.push((cell, end));
                 start = end;
             }
@@ -1572,10 +1566,7 @@ impl ActivityArray for ElasticLevelArray {
             let mut drained_old_epoch = false;
             let mut start = 0;
             for (cell, end) in runs {
-                for name in &mut sorted[start..end] {
-                    *name = Name::new(name.index());
-                }
-                cell.backend.free_many(&sorted[start..end]);
+                cell.backend.release_sorted(&sorted[start..end]);
                 drained_old_epoch |= Self::note_release(&pin, cell, end - start);
                 start = end;
             }

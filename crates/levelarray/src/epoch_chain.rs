@@ -108,8 +108,10 @@ pub(crate) fn now_ms() -> u64 {
 pub const DEFAULT_PIN_STRIPES: usize = 16;
 
 /// Hands each OS thread a small sticky token on first use, round-robin, so
-/// threads spread over the pin stripes without hashing thread ids (the same
-/// scheme as [`crate::ShardedLevelArray`]'s home-shard tokens).
+/// threads spread over the pin stripes without hashing thread ids.  Unlike
+/// the home tokens a sharded facade leases from its `HomePool` and takes
+/// back when the thread exits, a token is never returned: the cursor only
+/// grows, and a thread's stripe is its token modulo the stripe count.
 static NEXT_THREAD_TOKEN: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {

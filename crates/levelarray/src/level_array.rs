@@ -10,7 +10,7 @@
 use larng::RandomSource;
 
 use crate::array::{Acquired, ActivityArray};
-use crate::config::{LevelArrayConfig, ProbePolicy, ValidatedConfig};
+use crate::config::{LevelArrayConfig, ValidatedConfig};
 use crate::geometry::BatchGeometry;
 use crate::hint::FreeHint;
 use crate::name::Name;
@@ -103,7 +103,7 @@ impl LevelArray {
         self.hint.is_enabled()
     }
 
-    /// The probing core this facade wraps: the slots, geometry, probe policy
+    /// The probing core this facade wraps: the slots, geometry, probe count
     /// and TAS primitive, behind the reusable probing machinery shared with
     /// [`crate::ShardedLevelArray`].
     pub fn probe_core(&self) -> &ProbeCore {
@@ -197,9 +197,9 @@ impl LevelArray {
             .unwrap_or_else(|| crate::array::exhausted(self))
     }
 
-    /// The probe policy (`c_i`) this instance uses.
-    pub fn probe_policy(&self) -> &ProbePolicy {
-        self.core.probe_policy()
+    /// The random probes a `Get` performs in each batch (`c_i`).
+    pub fn probes_per_batch(&self) -> u32 {
+        self.core.probes_per_batch()
     }
 
     /// Whether `name` lies in the backup array.

@@ -52,7 +52,7 @@
 //! ## Crate layout
 //!
 //! * [`ProbeCore`] — the reusable probing machinery (slots, batch geometry,
-//!   probe policy, TAS primitive, slot layout) every facade composes.
+//!   probes per batch, TAS primitive, slot layout) every facade composes.
 //! * [`slot`] / [`packed`] — the two slot representations behind
 //!   [`SlotLayout`]: one atomic word per slot, or 64 slots bit-packed per
 //!   word so scans touch 32× less memory.
@@ -84,12 +84,10 @@ pub mod config;
 pub mod elastic;
 pub mod epoch_chain;
 pub mod geometry;
-pub mod lease;
 pub mod name;
 pub mod occupancy;
 pub mod packed;
 pub mod probe_core;
-pub mod registry;
 pub mod robust;
 pub mod sharded;
 pub mod slot;
@@ -101,16 +99,14 @@ mod home;
 mod level_array;
 
 pub use array::{Acquired, ActivityArray, Registration};
-pub use config::{ConfigError, GrowthPolicy, LevelArrayConfig, ProbePolicy};
+pub use config::{ConfigError, GrowthPolicy, LevelArrayConfig};
 pub use elastic::ElasticLevelArray;
 pub use epoch_chain::{ChainNode, ChainPin, ChainRace, EpochChain};
-pub use lease::{Lease, LeaseRegistry};
 pub use level_array::LevelArray;
 pub use name::Name;
 pub use occupancy::{OccupancySnapshot, Region, RegionOccupancy};
 pub use packed::PackedSlots;
 pub use probe_core::ProbeCore;
-pub use registry::ThreadRegistry;
 pub use robust::RobustnessReport;
 pub use sharded::ShardedLevelArray;
 pub use slot::{SlotLayout, TasKind};

@@ -330,16 +330,15 @@ impl PackedSlots {
         claimed
     }
 
-    /// The bulk-release kernel: clears the sorted slot indices in `indices`
-    /// (each `base`-offset — packed-local index is `indices[i] - base`) with
-    /// **one** `fetch_and` per touched word, merging every index of a word
-    /// into a single clear mask.
+    /// Groups the sorted slot indices in `indices` (each `base`-offset —
+    /// packed-local index is `indices[i] - base`) by word and calls
+    /// `f(word, mask)` once per touched word, `mask` holding its indices.
     ///
     /// # Panics
     ///
-    /// Panics if an index appears twice or names a slot that was not held
-    /// (both are double frees), reporting the caller-namespace value.
-    pub(crate) fn release_sorted(&self, indices: &[usize], base: usize) {
+    /// Panics if an index appears twice (a double free), reporting the
+    /// caller-namespace value.
+    fn word_masks(&self, indices: &[usize], base: usize, mut f: impl FnMut(usize, u64)) {
         let mut i = 0;
         while i < indices.len() {
             let word = (indices[i] - base) / BITS;
@@ -360,14 +359,51 @@ impl PackedSlots {
                 mask |= bit;
                 i += 1;
             }
-            let prev = self.words[word].fetch_and(!mask, Ordering::AcqRel);
-            let missed = mask & !prev;
-            assert!(
-                missed == 0,
-                "double free: name {} was not held when free_many() was called",
-                base + word * BITS + missed.trailing_zeros() as usize
-            );
+            f(word, mask);
         }
+    }
+
+    /// Panics unless every bit of `mask` is set in `held`, the snapshot of
+    /// word `word`, reporting the first missing slot in the caller's
+    /// namespace.
+    fn assert_held(held: u64, mask: u64, word: usize, base: usize) {
+        let missed = mask & !held;
+        assert!(
+            missed == 0,
+            "double free: name {} was not held when free_many() was called",
+            base + word * BITS + missed.trailing_zeros() as usize
+        );
+    }
+
+    /// The bulk-release check: with one acquire load per touched word,
+    /// verifies that the sorted slot indices in `indices` (`base`-offset, as
+    /// in [`PackedSlots::release_sorted`]) are distinct and held.
+    ///
+    /// # Panics
+    ///
+    /// Panics, having changed nothing, if an index appears twice or names a
+    /// slot that is not held (both are double frees).
+    pub(crate) fn check_sorted(&self, indices: &[usize], base: usize) {
+        self.word_masks(indices, base, |word, mask| {
+            Self::assert_held(self.words[word].load(Ordering::Acquire), mask, word, base);
+        });
+    }
+
+    /// The bulk-release kernel: clears the sorted slot indices in `indices`
+    /// (each `base`-offset — packed-local index is `indices[i] - base`) with
+    /// **one** `fetch_and` per touched word, merging every index of a word
+    /// into a single clear mask.  A batch that
+    /// [`PackedSlots::check_sorted`] passed releases in full.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index appears twice or names a slot that was not held
+    /// (both are double frees), reporting the caller-namespace value.
+    pub(crate) fn release_sorted(&self, indices: &[usize], base: usize) {
+        self.word_masks(indices, base, |word, mask| {
+            let prev = self.words[word].fetch_and(!mask, Ordering::AcqRel);
+            Self::assert_held(prev, mask, word, base);
+        });
     }
 
     /// Reads whether slot `idx` is currently held (an acquire load, not a

@@ -3,7 +3,7 @@
 //! particular facade.
 //!
 //! A [`ProbeCore`] owns one slab of main-array slots partitioned by a
-//! [`BatchGeometry`], an optional sequential backup slab, a [`ProbePolicy`]
+//! [`BatchGeometry`], an optional sequential backup slab, a probe count
 //! (`c_i` probes per batch), a [`TasKind`] and a [`SlotLayout`] (word-per-slot
 //! [`Slot`]s or the bit-packed [`crate::packed::PackedSlots`]).  It knows how
 //! to *probe*, *free*, *scan* and *census* those slots — and nothing else.
@@ -40,7 +40,6 @@ use la_fault::fail_point;
 use larng::RandomSource;
 
 use crate::array::Acquired;
-use crate::config::ProbePolicy;
 use crate::geometry::BatchGeometry;
 use crate::name::Name;
 use crate::occupancy::{Region, RegionOccupancy};
@@ -289,11 +288,37 @@ impl SlotSlab {
         claimed
     }
 
-    /// Releases the sorted slab indices in `indices` (each offset by `base`:
-    /// slab-local index is `indices[i] - base`).  Bit-packed slabs are
-    /// cleared with one `fetch_and` per touched word
-    /// ([`PackedSlots::release_sorted`]); word-per-slot slabs with one RMW
-    /// per slot.
+    /// Verifies that the sorted slab indices in `indices` (each offset by
+    /// `base`: slab-local index is `indices[i] - base`) are distinct and
+    /// held, with one load per word-per-slot index or per touched packed
+    /// word ([`PackedSlots::check_sorted`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics, having changed nothing, on a duplicate or unheld index (a
+    /// double free), reporting the caller-namespace value.
+    fn check_sorted(&self, indices: &[usize], base: usize) {
+        match self {
+            SlotSlab::WordPerSlot(slots) => {
+                for (i, &raw) in indices.iter().enumerate() {
+                    assert!(
+                        i == 0 || indices[i - 1] != raw,
+                        "double free: name {raw} appears twice in free_many()"
+                    );
+                    assert!(
+                        slots[raw - base].is_held(),
+                        "double free: name {raw} was not held when free_many() was called"
+                    );
+                }
+            }
+            SlotSlab::Packed(slab) => slab.check_sorted(indices, base),
+        }
+    }
+
+    /// Releases the sorted slab indices in `indices` (offset by `base`, as
+    /// in [`SlotSlab::check_sorted`]).  Bit-packed slabs are cleared with
+    /// one `fetch_and` per touched word ([`PackedSlots::release_sorted`]);
+    /// word-per-slot slabs with one RMW per slot.
     ///
     /// # Panics
     ///
@@ -388,7 +413,7 @@ pub struct ProbeCore {
     main: SlotSlab,
     backup: SlotSlab,
     geometry: BatchGeometry,
-    probe_policy: ProbePolicy,
+    probes_per_batch: u32,
     tas_kind: TasKind,
     slot_layout: SlotLayout,
     /// The deterministic probe budget of a failed `try_get`, precomputed at
@@ -410,16 +435,13 @@ impl ProbeCore {
     pub fn new(
         geometry: BatchGeometry,
         backup_len: usize,
-        probe_policy: ProbePolicy,
+        probes_per_batch: u32,
         tas_kind: TasKind,
         slot_layout: SlotLayout,
     ) -> Self {
         let main = SlotSlab::new(geometry.main_len(), slot_layout);
         let backup = SlotSlab::new(backup_len, slot_layout);
-        let exhausted_probes = (0..geometry.num_batches())
-            .map(|b| probe_policy.probes_in_batch(b))
-            .sum::<u32>()
-            + backup_len as u32;
+        let exhausted_probes = probes_per_batch * geometry.num_batches() as u32 + backup_len as u32;
         let mut census: Vec<CensusRegion> = geometry.batches().map(CensusRegion::new).collect();
         if backup_len > 0 {
             census.push(CensusRegion::new(0..backup_len));
@@ -428,7 +450,7 @@ impl ProbeCore {
             main,
             backup,
             geometry,
-            probe_policy,
+            probes_per_batch,
             tas_kind,
             slot_layout,
             exhausted_probes,
@@ -441,9 +463,9 @@ impl ProbeCore {
         &self.geometry
     }
 
-    /// The probe policy (`c_i`) this core uses.
-    pub fn probe_policy(&self) -> &ProbePolicy {
-        &self.probe_policy
+    /// The random probes a `Get` performs in each batch (`c_i`).
+    pub fn probes_per_batch(&self) -> u32 {
+        self.probes_per_batch
     }
 
     /// The test-and-set primitive this core uses.
@@ -486,7 +508,7 @@ impl ProbeCore {
     /// full sequential backup scan.  This is deterministic — and cached at
     /// construction — so composing facades can account for a failed
     /// [`ProbeCore::try_get`] without threading a counter through it and
-    /// without re-summing the probe policy on their steal/fallback paths.
+    /// without re-summing the batches on their steal/fallback paths.
     pub fn exhausted_probe_count(&self) -> u32 {
         self.exhausted_probes
     }
@@ -507,7 +529,7 @@ impl ProbeCore {
         for batch in 0..self.geometry.num_batches() {
             let range = self.geometry.batch_range(batch);
             let len = range.end - range.start;
-            let trials = self.probe_policy.probes_in_batch(batch);
+            let trials = self.probes_per_batch;
             for _ in 0..trials {
                 probes += 1;
                 let idx = range.start + rng.gen_index(len);
@@ -597,7 +619,7 @@ impl ProbeCore {
         for batch in 0..self.geometry.num_batches() {
             let range = self.geometry.batch_range(batch);
             let len = range.end - range.start;
-            let trials = self.probe_policy.probes_in_batch(batch) as usize * remaining;
+            let trials = self.probes_per_batch as usize * remaining;
             // Bit `w`: the batch's `w`-th window won nothing in this call
             // (windows past the 64th are not tracked).  One thread never
             // sees such a window free up, so skipping it changes no name,
@@ -672,7 +694,8 @@ impl ProbeCore {
 
     /// The batched `Free`: releases a set of (local) names, sorting them once
     /// and clearing bit-packed regions with one `fetch_and` per touched word
-    /// instead of one RMW per name.
+    /// instead of one RMW per name.  Every name is checked before any is
+    /// released, so a bad batch leaves every name held.
     ///
     /// # Panics
     ///
@@ -682,30 +705,45 @@ impl ProbeCore {
         if names.is_empty() {
             return;
         }
-        // Pre-effect, like `free`: the whole batch either releases (the
-        // release_sorted kernels only assert, never unwind mid-word) or
-        // never starts.
-        fail_point!("probe_core::free_many");
-        let mut indices = Vec::with_capacity(names.len());
-        for &name in names {
-            assert_eq!(
-                name.epoch(),
-                0,
-                "a probing core handles only local (epoch-0) names, got {name}"
-            );
-            let idx = name.index();
-            assert!(
-                idx < self.capacity(),
-                "name {idx} out of range for an array with capacity {}",
-                self.capacity()
-            );
-            indices.push(idx);
-        }
+        let mut indices: Vec<usize> = names.iter().map(|name| name.raw()).collect();
         indices.sort_unstable();
-        let split = indices.partition_point(|&idx| idx < self.main.len());
-        self.main.release_sorted(&indices[..split], 0);
+        // The order is epoch-major, so the largest raw value is the one to
+        // check: if it is an in-range epoch-0 name, so is every other.
+        if let Some(&last) = indices.last() {
+            self.locate(Name::from_raw(last));
+        }
+        self.check_sorted(&indices, 0);
+        self.release_sorted(&indices, 0);
+    }
+
+    /// Verifies a batch of sorted slot indices before any of it is
+    /// released: the slots must be distinct and held.  Each
+    /// `indices[i] - base` must already be a local index below
+    /// [`ProbeCore::capacity`]; the caller checks the range.  The facades
+    /// check every core's run this way before they release any run, so a
+    /// bad name leaves the whole batch held.
+    ///
+    /// # Panics
+    ///
+    /// Panics, having released nothing, on a duplicate or unheld index (a
+    /// double free).
+    pub(crate) fn check_sorted(&self, indices: &[usize], base: usize) {
+        // Pre-effect, like `free`: every facade checks its whole batch
+        // before it releases any of it, so an unwind here released nothing.
+        fail_point!("probe_core::free_many");
+        let split = indices.partition_point(|&idx| idx < base + self.main.len());
+        self.main.check_sorted(&indices[..split], base);
         self.backup
-            .release_sorted(&indices[split..], self.main.len());
+            .check_sorted(&indices[split..], base + self.main.len());
+    }
+
+    /// Releases a batch of sorted slot indices that
+    /// [`ProbeCore::check_sorted`] passed, with the same `base` offset.
+    pub(crate) fn release_sorted(&self, indices: &[usize], base: usize) {
+        let split = indices.partition_point(|&idx| idx < base + self.main.len());
+        self.main.release_sorted(&indices[..split], base);
+        self.backup
+            .release_sorted(&indices[split..], base + self.main.len());
     }
 
     /// Directly occupies a specific (local) slot, bypassing the probing
@@ -877,7 +915,7 @@ mod tests {
         ProbeCore::new(
             BatchGeometry::for_contention(n),
             n,
-            ProbePolicy::default(),
+            1,
             TasKind::default(),
             layout,
         )
@@ -909,13 +947,13 @@ mod tests {
     fn exhausted_probe_count_is_policy_sum_plus_backup() {
         let c = core(64);
         let batches = c.geometry().num_batches() as u32;
-        // Uniform(1): one probe per batch.
+        // One probe per batch.
         assert_eq!(c.exhausted_probe_count(), batches + 64);
 
         let uniform = ProbeCore::new(
             BatchGeometry::for_contention(64),
             0,
-            ProbePolicy::Uniform(3),
+            3,
             TasKind::default(),
             SlotLayout::WordPerSlot,
         );
@@ -1257,7 +1295,7 @@ mod tests {
         let mut remaining = k;
         for batch in 0..core.geometry.num_batches() {
             let range = core.geometry.batch_range(batch);
-            let trials = core.probe_policy.probes_in_batch(batch) as usize * remaining;
+            let trials = core.probes_per_batch as usize * remaining;
             for _ in 0..trials {
                 *probes += 1;
                 let idx = range.start + rng.gen_index(range.len());

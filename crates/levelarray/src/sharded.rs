@@ -115,7 +115,7 @@ impl ShardedLevelArray {
     /// Builds a sharded array from a shared configuration: the configuration's
     /// contention bound `n` is split into `S` shards of bound `⌈n / S⌉`, each
     /// materialized as an independent [`ProbeCore`] with the configuration's
-    /// space factor, probe policy, backup setting and TAS primitive.
+    /// space factor, probes per batch, backup setting and TAS primitive.
     ///
     /// # Errors
     ///
@@ -487,7 +487,7 @@ mod tests {
         let mut script = Vec::new();
         for b in 0..core0.geometry().num_batches() {
             let len = core0.geometry().batch_len(b) as u64;
-            for _ in 0..core0.probe_policy().probes_in_batch(b) {
+            for _ in 0..core0.probes_per_batch() {
                 script.push(larng::mock::raw_for_index(0, len));
             }
         }

@@ -6,7 +6,7 @@ use larng::{default_rng, RandomSource};
 use levelarray::balance::{is_overcrowded, overcrowding_threshold, tracked_batches};
 use levelarray::geometry::BatchGeometry;
 use levelarray::{
-    ActivityArray, GetStats, LevelArray, LevelArrayConfig, Name, ProbePolicy, SlotLayout, TasKind,
+    ActivityArray, GetStats, LevelArray, LevelArrayConfig, Name, SlotLayout, TasKind,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -209,7 +209,7 @@ proptest! {
         prop_assert_eq!(hist_total, stats.operations());
     }
 
-    /// The probe policy is respected: with all of batch 0 forced to be
+    /// The probe count is respected: with all of batch 0 forced to be
     /// occupied, an operation performs exactly `c` probes in batch 0 before
     /// moving on (observable through the total probe count lower bound).
     #[test]
@@ -219,7 +219,7 @@ proptest! {
     ) {
         let n = 32;
         let array = LevelArrayConfig::new(n)
-            .probe_policy(ProbePolicy::Uniform(c))
+            .probes_per_batch(c)
             .build()
             .unwrap();
         // Occupy every slot of batch 0.

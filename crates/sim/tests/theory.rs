@@ -7,7 +7,7 @@
 
 use la_sim::executor::{run_uniform_workload, Simulation, SimulationConfig};
 use la_sim::{HealingExperiment, ProcessInput, Schedule, UnbalanceSpec};
-use levelarray::{LevelArray, LevelArrayConfig, ProbePolicy, ShardedLevelArray};
+use levelarray::{LevelArray, LevelArrayConfig, ShardedLevelArray};
 
 /// Theorem 1 (polynomial executions stay balanced) under the *analysis*
 /// configuration: c_i = 16 probes per batch.  Even at full contention
@@ -17,7 +17,7 @@ use levelarray::{LevelArray, LevelArrayConfig, ProbePolicy, ShardedLevelArray};
 fn theorem1_balance_with_analysis_probe_counts() {
     let n = 128;
     let array = LevelArrayConfig::new(n)
-        .probe_policy(ProbePolicy::Uniform(16))
+        .probes_per_batch(16)
         .build()
         .unwrap();
 

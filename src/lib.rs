@@ -18,5 +18,5 @@ pub use levelarray as core;
 // spelling out the crate path.
 pub use levelarray::{
     Acquired, ActivityArray, ElasticLevelArray, EpochChain, GrowthPolicy, LevelArray,
-    LevelArrayConfig, Name, ProbeCore, Registration, ShardedLevelArray, ThreadRegistry,
+    LevelArrayConfig, Name, ProbeCore, Registration, ShardedLevelArray,
 };

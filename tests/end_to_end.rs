@@ -7,7 +7,7 @@ use std::sync::Arc;
 use la_sim::executor::{run_uniform_workload, SimulationConfig};
 use la_sim::{HealingExperiment, UnbalanceSpec};
 use larng::{default_rng, SeedSequence};
-use levelarray::{ActivityArray, LevelArray, LevelArrayConfig, ProbePolicy};
+use levelarray::{ActivityArray, LevelArray, LevelArrayConfig};
 use levelarray_suite::baselines::{LinearProbingArray, RandomArray};
 use levelarray_suite::coordination::ReaderRegistry;
 use levelarray_suite::flatcombine::FcCounter;
@@ -160,10 +160,10 @@ fn headline_behaviours_hold_end_to_end() {
 /// application works on top of either.
 #[test]
 fn configurations_compose_with_applications() {
-    for policy in [ProbePolicy::Uniform(1), ProbePolicy::Uniform(16)] {
+    for probes in [1, 16] {
         let registry = Arc::new(
             LevelArrayConfig::new(8)
-                .probe_policy(policy.clone())
+                .probes_per_batch(probes)
                 .build()
                 .unwrap(),
         );
@@ -174,6 +174,6 @@ fn configurations_compose_with_applications() {
             session.increment();
         }
         drop(session);
-        assert_eq!(counter.load(), 100, "{policy:?}");
+        assert_eq!(counter.load(), 100, "c_i = {probes}");
     }
 }

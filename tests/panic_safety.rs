@@ -4,26 +4,24 @@
 //!
 //! * **Always-on tests** (no cfg) exercise the panic paths reachable without
 //!   fault injection — operations that panic inside the flat-combining
-//!   engine, leases abandoned by clients that never release, watchdog
+//!   engine, batched `Get`s and `Free`s that fail part-way, watchdog
 //!   telemetry on healthy traffic.  They run in tier-1 (`cargo test`).
 //! * **Seeded crash storms** (`mod storm`, compiled under
 //!   `RUSTFLAGS="--cfg la_fault"`, see `make fault` / `make fault-storm`)
 //!   arm the `la_fault` failpoints threaded through `probe_core`, `packed`,
-//!   `epoch_chain`, `elastic`, the registry, reclamation and the combiner,
-//!   and assert the invariants of `docs/ROBUSTNESS.md`: an operation that
-//!   unwinds leaks nothing it did not already own, a dead combiner hands
-//!   off, the lease sweep recovers every orphan, and the stuck-pin watchdog
-//!   defers — but never unlinks — under a live pin.
+//!   `epoch_chain`, `elastic`, reclamation and the combiner, and assert the
+//!   invariants of `docs/ROBUSTNESS.md`: an operation that unwinds leaks
+//!   nothing it did not already own, a dead client's names are exactly the
+//!   ones `Collect` still reports, a dead combiner hands off, and the
+//!   stuck-pin watchdog defers — but never unlinks — under a live pin.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use la_flatcombine::FlatCombining;
 use larng::{default_rng, RandomSource, SequenceRng};
-use levelarray::lease::{LeaseClock, LeaseRegistry, ManualClock};
 use levelarray::{
-    ActivityArray, ElasticLevelArray, GrowthPolicy, LevelArray, LevelArrayConfig, Name,
-    ShardedLevelArray, ThreadRegistry,
+    ActivityArray, ElasticLevelArray, GrowthPolicy, LevelArray, LevelArrayConfig, Name, SlotLayout,
 };
 
 /// The sequential semantics used by every combining test: fetch-and-add,
@@ -115,54 +113,6 @@ fn concurrent_panicking_operations_lose_no_other_operation() {
     let expected: u64 = (0..per_thread).filter(|i| i % 7 != 3).count() as u64 * threads as u64;
     assert_eq!(fc.with_sequential(|s| *s), expected);
     assert!(fc.registry().collect().is_empty());
-}
-
-#[test]
-fn lease_sweep_recovers_clients_that_never_release_on_a_sharded_array() {
-    let _gate = exclusive();
-    let clock = Arc::new(ManualClock::new());
-    let registry = LeaseRegistry::with_clock(
-        ThreadRegistry::new(ShardedLevelArray::new(32, 4), 77),
-        100,
-        Arc::clone(&clock) as Arc<dyn LeaseClock>,
-    );
-
-    // Six clients register; half "crash" (drop the lease without releasing
-    // and stop heartbeating), half stay live.
-    let mut live = Vec::new();
-    for i in 0..6 {
-        let lease = registry.register();
-        if i % 2 == 0 {
-            live.push(lease);
-        } // else: abandoned
-    }
-    assert_eq!(registry.collect().len(), 6);
-
-    // One lease later the dead clients are quarantined, the live ones beat.
-    clock.advance(150);
-    for lease in &live {
-        assert!(registry.heartbeat(lease));
-    }
-    let first = registry.sweep();
-    assert_eq!(first.newly_quarantined, 3);
-    assert_eq!(first.reclaimed, 0);
-
-    // Another lease later the quarantined names are reclaimed; the live
-    // clients are untouched.
-    clock.advance(150);
-    for lease in &live {
-        assert!(registry.heartbeat(lease));
-    }
-    let second = registry.sweep();
-    assert_eq!(second.reclaimed, 3);
-    let report = registry.lease_report();
-    assert_eq!(report.orphaned_reclaimed, 3);
-    assert_eq!(report.quarantined, 0);
-
-    for lease in live {
-        assert!(registry.release(lease));
-    }
-    assert!(registry.collect().is_empty());
 }
 
 #[test]
@@ -269,6 +219,94 @@ fn assert_get_many_rolls_back<A: ActivityArray>(
     census(&array, &held);
 }
 
+/// A `free_many` batch with one bad name panics before it releases any
+/// name, on every facade and both slot layouts: `collect()` and every live
+/// epoch's held count read as before the call.  The bad name is an in-batch
+/// duplicate, a name already freed, an index past its epoch's capacity, or
+/// (elastic facades only) a name of a dead epoch; each sorts after every
+/// good name, so a kernel that released as it checked would have released
+/// the rest of the batch first.
+#[test]
+fn a_bad_free_many_batch_releases_nothing() {
+    let _gate = exclusive();
+    for layout in [SlotLayout::WordPerSlot, SlotLayout::Packed] {
+        let flat = LevelArrayConfig::new(32).slot_layout(layout);
+        assert_bad_batch_releases_nothing("flat", layout, &flat.build().unwrap(), None, 40);
+        // The home shard fills at 48 names, so the batch spans both shards.
+        let sharded = flat.build_sharded(2).unwrap();
+        assert_bad_batch_releases_nothing("sharded", layout, &sharded, None, 60);
+        // Epoch capacities 24 + 48: the batch spans two epochs.
+        let elastic = flat
+            .with_contention(8)
+            .growth(GrowthPolicy::Doubling { max_epochs: 4 });
+        for (label, config) in [
+            ("elastic", elastic.clone()),
+            ("hier", elastic.shard_group(4)),
+        ] {
+            let array = config.build_elastic().unwrap();
+            assert_bad_batch_releases_nothing(label, layout, &array, Some(&array), 30);
+        }
+    }
+}
+
+/// One facade of the test above, holding `hold` names; `elastic` is the
+/// same array when it has epochs.
+fn assert_bad_batch_releases_nothing(
+    facade: &str,
+    layout: SlotLayout,
+    array: &dyn ActivityArray,
+    elastic: Option<&ElasticLevelArray>,
+    hold: usize,
+) {
+    let mut rng = default_rng(0xF4EE);
+    let mut held: Vec<Name> = (0..hold).map(|_| array.get(&mut rng).name()).collect();
+    held.sort_unstable();
+    let freed = held.pop().unwrap();
+    array.free(freed);
+    let last = *held.last().unwrap();
+    let past_end = match elastic {
+        Some(e) => {
+            assert_eq!(e.num_epochs(), 2, "{facade}: the batch spans one epoch");
+            let capacity = e.newest_shard_capacity() * e.newest_epoch_shards();
+            Name::with_epoch(e.newest_epoch(), capacity)
+        }
+        None => Name::new(array.capacity()),
+    };
+    let mut cases = vec![
+        ("in-batch duplicate", last, "double free"),
+        ("double free", freed, "double free"),
+        ("out-of-range index", past_end, "out of range"),
+    ];
+    if elastic.is_some() {
+        cases.push(("dead epoch", Name::with_epoch(9, 0), "not live"));
+    }
+    let census = || {
+        let epochs = elastic.map(|e| {
+            let ids = e.epoch_ids();
+            ids.iter()
+                .map(|&id| (id, e.epoch_held(id)))
+                .collect::<Vec<_>>()
+        });
+        (array.collect(), epochs)
+    };
+    let before = census();
+    for (case, bad, message) in cases {
+        let label = format!("{facade}, {layout:?}, {case}");
+        let mut batch = held.clone();
+        batch.push(bad);
+        let payload = catch_unwind(AssertUnwindSafe(|| array.free_many(&batch)))
+            .expect_err(&format!("{label}: the batch must panic"));
+        let text = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(text.contains(message), "{label}: unexpected panic {text:?}");
+        assert_eq!(census(), before, "{label}: the bad batch released names");
+    }
+    array.free_many(&held);
+    assert!(array.collect().is_empty(), "{facade}, {layout:?}");
+}
+
 /// Seeded crash storms: compiled only when the failpoints are live.
 #[cfg(la_fault)]
 mod storm {
@@ -276,6 +314,7 @@ mod storm {
     use la_fault::{FaultAction, FaultPlan};
     use la_reclaim::ReclaimDomain;
     use levelarray::epoch_chain::thread_token;
+    use levelarray::ShardedLevelArray;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
@@ -322,23 +361,19 @@ mod storm {
         std::panic::resume_unwind(payload)
     }
 
-    /// Frees a batch under live fault injection.  `free_many` may unwind
-    /// mid-batch (its per-epoch kernels each carry a pre-effect site), so
-    /// recovery consults `Collect` for which of *our* names are still held
-    /// and retries exactly those.
+    /// Frees a batch under live fault injection, retrying the whole batch
+    /// after an unwind.  Every fault site on the `free_many` path comes
+    /// before its first release (the elastic maintenance pass after the
+    /// release catches its own injected panics), so an unwound batch freed
+    /// nothing; a half-released one would fail the retry with a genuine
+    /// "double free".
     fn free_batch_with_recovery(array: &dyn ActivityArray, names: &mut Vec<Name>) {
-        while !names.is_empty() {
-            match catch_unwind(AssertUnwindSafe(|| array.free_many(names))) {
-                Ok(()) => names.clear(),
-                Err(payload) => {
-                    match classify(payload) {
-                        Caught::Died | Caught::RolledBack => {}
-                    }
-                    let held: HashSet<Name> = array.collect().into_iter().collect();
-                    names.retain(|name| held.contains(name));
-                }
+        while let Err(payload) = catch_unwind(AssertUnwindSafe(|| array.free_many(names))) {
+            match classify(payload) {
+                Caught::Died | Caught::RolledBack => {}
             }
         }
+        names.clear();
     }
 
     /// The core storm: `threads` clients hammer get/get_many/free under the
@@ -425,9 +460,10 @@ mod storm {
             "Collect after the storm disagrees with the dead clients' holdings"
         );
 
-        // Simulated recovery (what the lease sweep automates): free the
-        // orphans and the array must come back spotless.
-        for name in orphans {
+        // Recovery: free the `Collect` entries no live client holds (with
+        // every live client drained, all of them), and the array must come
+        // back spotless.
+        for name in held {
             array.free(name);
         }
         assert!(array.collect().is_empty(), "names leaked through the storm");
@@ -467,117 +503,6 @@ mod storm {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(array.num_epochs(), 1, "drained epochs failed to retire");
-        la_fault::reset();
-    }
-
-    #[test]
-    fn lease_storm_reclaims_every_abandoned_lease() {
-        let _gate = armed(FaultPlan::storm(seed(0x0DD_B17E5)));
-        let clock = Arc::new(ManualClock::new());
-        let array = ElasticLevelArray::new(8, GrowthPolicy::Doubling { max_epochs: 4 });
-        let registry = Arc::new(LeaseRegistry::with_clock(
-            ThreadRegistry::new(array, 42),
-            100,
-            Arc::clone(&clock) as Arc<dyn LeaseClock>,
-        ));
-
-        let abandoned_total: usize = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|t| {
-                    let registry = Arc::clone(&registry);
-                    scope.spawn(move || {
-                        let mut leases = Vec::new();
-                        // Leases granted but lost to an unwind: a fault at
-                        // the post-insert `lease::register` site fires after
-                        // the grant, so the lease exists with no handle —
-                        // an orphan only the sweep can recover.  Any other
-                        // site in the register path is pre-grant (the
-                        // registration guard rolls the slot back).
-                        let mut handleless = 0usize;
-                        'life: for i in 0..200 {
-                            if leases.len() < 3 {
-                                match catch_unwind(AssertUnwindSafe(|| registry.register())) {
-                                    Ok(lease) => leases.push(lease),
-                                    Err(payload) => {
-                                        if la_fault::injected_site(payload.as_ref())
-                                            == Some("lease::register")
-                                        {
-                                            handleless += 1;
-                                        }
-                                        match classify(payload) {
-                                            Caught::Died => break 'life,
-                                            Caught::RolledBack => {}
-                                        }
-                                    }
-                                }
-                            } else {
-                                // Release the oldest, retrying rolled-back
-                                // attempts (release puts the lease back on
-                                // unwind, so retrying is always safe).
-                                let lease = leases.remove(0);
-                                loop {
-                                    let attempt = lease.clone();
-                                    match catch_unwind(AssertUnwindSafe(|| {
-                                        registry.release(attempt)
-                                    })) {
-                                        Ok(_) => break,
-                                        Err(payload) => match classify(payload) {
-                                            Caught::Died => {
-                                                leases.push(lease);
-                                                break 'life;
-                                            }
-                                            Caught::RolledBack => {}
-                                        },
-                                    }
-                                }
-                            }
-                            if i % 5 == t {
-                                for lease in &leases {
-                                    registry.heartbeat(lease);
-                                }
-                            }
-                        }
-                        // Whatever is left is abandoned: the client is gone
-                        // and will never beat again.  The handleless grants
-                        // were never beatable at all.
-                        leases.len() + handleless
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker hit a genuine panic"))
-                .sum()
-        });
-
-        assert!(la_fault::hits_total() > 0);
-        la_fault::reset();
-
-        // Two sweeps a full lease apart quarantine and then reclaim every
-        // abandoned name.
-        clock.advance(150);
-        let first = registry.sweep();
-        assert_eq!(first.newly_quarantined, abandoned_total);
-        clock.advance(150);
-        let second = registry.sweep();
-        assert_eq!(second.reclaimed, abandoned_total);
-
-        let report = registry.robustness_report();
-        assert_eq!(report.orphaned_reclaimed as usize, abandoned_total);
-        assert_eq!(report.quarantined, 0);
-        assert!(registry.collect().is_empty(), "orphans survived the sweep");
-
-        // Collect is consistent and the epochs collapse now that every
-        // name is home.
-        let array = registry.registry().array();
-        for _ in 0..64 {
-            if array.num_epochs() == 1 {
-                break;
-            }
-            array.try_retire();
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(array.num_epochs(), 1);
         la_fault::reset();
     }
 

@@ -95,7 +95,7 @@ fn exhausted_home_shard_steals_from_its_neighbour() {
     // (held) slot 0 of its batch, then shard 1's first probe wins slot 0.
     let mut script = Vec::new();
     for b in 0..geometry.num_batches() {
-        for _ in 0..core0.probe_policy().probes_in_batch(b) {
+        for _ in 0..core0.probes_per_batch() {
             script.push(levelarray_suite::rng::mock::raw_for_index(
                 0,
                 geometry.batch_len(b) as u64,
